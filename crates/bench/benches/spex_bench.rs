@@ -260,7 +260,7 @@ fn bench_check(r: &Runner) {
     });
 
     // Single-file validation latency, clean and corrupt, on the borrowed
-    // session (construction indexes names once; no db copy).
+    // session (construction builds nothing; no db copy).
     let session = CheckSession::new(db0);
     r.bench("check/single_file_clean_openldap", || {
         black_box(session.check_text(template0))
@@ -419,10 +419,10 @@ fn bench_workspace(r: &Runner) {
         }
     }
 
-    // The cached borrowed session: repeated `check_paths` off one
-    // workspace must pay per-file work only — no per-call O(db) copy, no
-    // per-call index rebuild (compare with `check/session_construction_*`
-    // for the uncached construction cost).
+    // The borrowed session: repeated `check_paths` off one workspace must
+    // pay per-file work only — no per-call O(db) copy (compare with
+    // `check/session_construction_*`, which a session over the indexed
+    // database makes as cheap).
     let mut ws = Workspace::new("OpenLDAP", built.gen.dialect);
     ws.add_module("gen.c", &built.gen.source, &built.gen.annotations)
         .unwrap();
@@ -446,9 +446,8 @@ fn bench_workspace(r: &Runner) {
         assert_eq!(
             ws.db().clone_count(),
             clones_before,
-            "cached checking must not clone the db"
+            "checking must not clone the db"
         );
-        assert_eq!(ws.session_rebuilds(), 1, "one index build for the run");
     }
     std::fs::remove_dir_all(&fleet).ok();
 }

@@ -8,6 +8,10 @@
 //! loaded by every checker run without touching source code again
 //! (infer → persist → check).
 //!
+//! The database is also the one parameter index: beside its entries, in
+//! first-seen order, it keeps exact-name, lowercased-name and module →
+//! parameters indexes ([`Params`]) that every lookup and mutation uses.
+//!
 //! # Format versions
 //!
 //! * `v1` — `c <kind> | <func> <line> <col>` constraint lines, no
@@ -29,7 +33,9 @@ use spex_core::constraint::{
     EnumValue, NumericRange, RangeSegment, SemType, SizeUnit, TimeUnit, ValueRel,
 };
 use spex_lang::diag::Span;
+use std::collections::HashMap;
 use std::fmt;
+use std::ops::Deref;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -39,8 +45,10 @@ const MAGIC_V1: &str = "spex-constraint-db v1";
 /// Magic line of the current `v2` format.
 const MAGIC_V2: &str = "spex-constraint-db v2";
 
-/// All constraints of one parameter.
-#[derive(Debug, Clone, PartialEq, Default)]
+/// All constraints of one parameter. Only a [`ConstraintDb`] builds
+/// entries, so `provenance` always has exactly one slot per constraint.
+#[derive(Debug, Clone, PartialEq)]
+#[non_exhaustive]
 pub struct ParamEntry {
     /// The parameter's name as written in config files.
     pub name: String,
@@ -51,28 +59,137 @@ pub struct ParamEntry {
     pub constraints: Vec<Constraint>,
     /// Inference provenance, parallel to `constraints`: the workspace
     /// module each constraint was inferred from, or empty for hand-built
-    /// and migrated-`v1` constraints. Maintained by the
-    /// [`ConstraintDb::add`]-family methods; keep the two vectors the same
-    /// length if constructing entries by hand.
+    /// and migrated-`v1` constraints.
     pub provenance: Vec<String>,
 }
 
 impl ParamEntry {
-    /// Iterates `(constraint, provenance-module)` pairs. A hand-built
-    /// entry whose `provenance` is shorter than `constraints` reports the
-    /// missing tail as empty provenance.
+    /// Iterates `(constraint, provenance-module)` pairs.
     pub fn with_provenance(&self) -> impl Iterator<Item = (&Constraint, &str)> {
         self.constraints
             .iter()
-            .enumerate()
-            .map(|(i, c)| (c, self.provenance.get(i).map(String::as_str).unwrap_or("")))
+            .zip(self.provenance.iter().map(String::as_str))
+    }
+}
+
+/// Key → positions of the entries filed under it, ascending.
+type PositionIndex = HashMap<String, Vec<usize>>;
+
+fn link(index: &mut PositionIndex, key: &str, i: usize) {
+    let positions = index.entry(key.to_string()).or_default();
+    if let Err(at) = positions.binary_search(&i) {
+        positions.insert(at, i);
+    }
+}
+
+fn unlink(index: &mut PositionIndex, key: &str, i: usize) {
+    if let Some(positions) = index.get_mut(key) {
+        positions.retain(|&p| p != i);
+        if positions.is_empty() {
+            index.remove(key);
+        }
+    }
+}
+
+/// A database's parameter entries in first-seen order, with the indexes
+/// every lookup goes through. Read-only outside this module: it
+/// dereferences to `[ParamEntry]` (`iter`, `len`, indexing, `for p in
+/// &db.params`), and only [`ConstraintDb`]'s methods change it, so the
+/// indexes cannot drift from the entries.
+#[derive(Debug, Clone, Default)]
+pub struct Params {
+    entries: Vec<ParamEntry>,
+    /// Exact name → position in `entries`.
+    by_name: HashMap<String, usize>,
+    /// ASCII-lowercased name → its variants with uppercase letters (an
+    /// all-lowercase variant is found through `by_name`), so an
+    /// all-lowercase database keeps this index empty.
+    by_lower: PositionIndex,
+    /// Provenance module → entries holding a constraint inferred from it.
+    by_module: PositionIndex,
+}
+
+impl Deref for Params {
+    type Target = [ParamEntry];
+
+    fn deref(&self) -> &[ParamEntry] {
+        &self.entries
+    }
+}
+
+impl<'a> IntoIterator for &'a Params {
+    type Item = &'a ParamEntry;
+    type IntoIter = std::slice::Iter<'a, ParamEntry>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.entries.iter()
+    }
+}
+
+impl Params {
+    /// Position of the entry named `name`, appending an empty entry first
+    /// when there is none.
+    fn slot(&mut self, name: &str) -> usize {
+        if let Some(&i) = self.by_name.get(name) {
+            return i;
+        }
+        self.entries.push(ParamEntry {
+            name: name.to_string(),
+            constraints: Vec::new(),
+            provenance: Vec::new(),
+        });
+        let i = self.entries.len() - 1;
+        self.by_name.insert(name.to_string(), i);
+        let lower = name.to_ascii_lowercase();
+        if lower != name {
+            link(&mut self.by_lower, &lower, i);
+        }
+        i
     }
 
-    /// Restores the `provenance.len() == constraints.len()` invariant for
-    /// entries built by hand (missing slots become empty provenance).
-    fn sync_provenance(&mut self) {
-        self.provenance
-            .resize(self.constraints.len(), String::new());
+    /// Appends a constraint inferred from `module` to entry `i`.
+    fn push(&mut self, i: usize, c: Constraint, module: &str) {
+        self.entries[i].constraints.push(c);
+        self.entries[i].provenance.push(module.to_string());
+        link(&mut self.by_module, module, i);
+    }
+
+    /// Drops every constraint of entry `i` inferred from `module`,
+    /// returning how many went.
+    fn remove_from(&mut self, i: usize, module: &str) -> usize {
+        let entry = &mut self.entries[i];
+        let before = entry.constraints.len();
+        let mut keep = entry.provenance.iter().map(|m| m != module);
+        entry.constraints.retain(|_| keep.next() == Some(true));
+        entry.provenance.retain(|m| m != module);
+        unlink(&mut self.by_module, module, i);
+        before - entry.constraints.len()
+    }
+
+    /// Removes entry `i`; later entries move down one position.
+    fn remove(&mut self, i: usize) {
+        let entry = self.entries.remove(i);
+        self.by_name.remove(&entry.name);
+        unlink(&mut self.by_lower, &entry.name.to_ascii_lowercase(), i);
+        for module in &entry.provenance {
+            unlink(&mut self.by_module, module, i);
+        }
+        let positions = (self.by_name.values_mut())
+            .chain(self.by_lower.values_mut().flatten())
+            .chain(self.by_module.values_mut().flatten());
+        for p in positions.filter(|p| **p > i) {
+            *p -= 1;
+        }
+    }
+
+    /// Rebuilds every index from the entries (after they were reordered).
+    fn reindex(&mut self) {
+        for entry in std::mem::take(self).entries {
+            let i = self.slot(&entry.name);
+            for (c, module) in entry.constraints.into_iter().zip(entry.provenance) {
+                self.push(i, c, &module);
+            }
+        }
     }
 }
 
@@ -83,8 +200,9 @@ pub struct ConstraintDb {
     pub system: String,
     /// The system's config-file dialect.
     pub dialect: Dialect,
-    /// Per-parameter entries, in first-seen order.
-    pub params: Vec<ParamEntry>,
+    /// Per-parameter entries, in first-seen order (read-only; see
+    /// [`Params`]).
+    pub params: Params,
     /// How many times this database lineage has been cloned (shared by
     /// every clone; see [`ConstraintDb::clone_count`]).
     clones: Arc<AtomicUsize>,
@@ -110,7 +228,9 @@ impl Clone for ConstraintDb {
 /// clone counter is instrumentation, not state.
 impl PartialEq for ConstraintDb {
     fn eq(&self, other: &ConstraintDb) -> bool {
-        self.system == other.system && self.dialect == other.dialect && self.params == other.params
+        self.system == other.system
+            && self.dialect == other.dialect
+            && *self.params == *other.params
     }
 }
 
@@ -137,7 +257,7 @@ impl ConstraintDb {
         ConstraintDb {
             system: system.into(),
             dialect,
-            params: Vec::new(),
+            params: Params::default(),
             clones: Arc::new(AtomicUsize::new(0)),
         }
     }
@@ -168,30 +288,9 @@ impl ConstraintDb {
         db
     }
 
-    /// Builds a database from a flat constraint list.
-    pub fn from_constraints(
-        system: impl Into<String>,
-        dialect: Dialect,
-        constraints: &[Constraint],
-    ) -> ConstraintDb {
-        let mut db = ConstraintDb::new(system, dialect);
-        for c in constraints {
-            db.add(c.clone());
-        }
-        db
-    }
-
     /// Registers a parameter name without constraints (a legal key).
-    pub fn note_param(&mut self, name: &str) -> &mut ParamEntry {
-        if let Some(i) = self.params.iter().position(|p| p.name == name) {
-            return &mut self.params[i];
-        }
-        self.params.push(ParamEntry {
-            name: name.to_string(),
-            constraints: Vec::new(),
-            provenance: Vec::new(),
-        });
-        self.params.last_mut().unwrap()
+    pub fn note_param(&mut self, name: &str) {
+        self.params.slot(name);
     }
 
     /// Registers many legal parameter names.
@@ -209,25 +308,16 @@ impl ConstraintDb {
     /// Adds one constraint under its parameter, recording the workspace
     /// module it was inferred from.
     pub fn add_from(&mut self, c: Constraint, module: &str) {
-        let name = c.param.clone();
-        let entry = self.note_param(&name);
-        entry.constraints.push(c);
-        entry.provenance.push(module.to_string());
+        let i = self.params.slot(&c.param);
+        self.params.push(i, c, module);
     }
 
     /// Removes every constraint of `param` that was inferred from
     /// `module`, returning how many were dropped. The parameter entry
     /// itself stays (the name remains a legal key).
     pub fn remove_source_param(&mut self, module: &str, param: &str) -> usize {
-        let Some(entry) = self.params.iter_mut().find(|p| p.name == param) else {
-            return 0;
-        };
-        entry.sync_provenance();
-        let before = entry.constraints.len();
-        let mut keep = entry.provenance.iter().map(|m| m != module);
-        entry.constraints.retain(|_| keep.next().unwrap_or(true));
-        entry.provenance.retain(|m| m != module);
-        before - entry.constraints.len()
+        let found = self.params.by_name.get(param).copied();
+        found.map_or(0, |i| self.params.remove_from(i, module))
     }
 
     /// Replaces `param`'s constraints from `module` with a fresh list
@@ -243,43 +333,43 @@ impl ConstraintDb {
     ) -> (usize, usize) {
         let removed = self.remove_source_param(module, param);
         let added = fresh.len();
-        let entry = self.note_param(param);
+        let i = self.params.slot(param);
         for c in fresh {
-            entry.constraints.push(c);
-            entry.provenance.push(module.to_string());
+            self.params.push(i, c, module);
         }
         (removed, added)
     }
 
     /// Names of parameters holding at least one constraint inferred from
-    /// `module` (used to garbage-collect a module's stale contribution,
-    /// e.g. after a workspace resumes from a persisted database).
+    /// `module`, in entry order (used to garbage-collect a module's stale
+    /// contribution, e.g. after a workspace resumes from a persisted
+    /// database).
     pub fn params_from_source(&self, module: &str) -> Vec<String> {
-        self.params
-            .iter()
-            .filter(|p| p.with_provenance().any(|(_, m)| m == module))
-            .map(|p| p.name.clone())
-            .collect()
+        let found = self.params.by_module.get(module).into_iter().flatten();
+        found.map(|&i| self.params[i].name.clone()).collect()
     }
 
     /// Drops a parameter entry entirely (name and constraints). Returns
     /// whether it existed.
     pub fn remove_param(&mut self, name: &str) -> bool {
-        let before = self.params.len();
-        self.params.retain(|p| p.name != name);
-        self.params.len() != before
+        let found = self.params.by_name.get(name).copied();
+        found.map(|i| self.params.remove(i)).is_some()
     }
 
     /// Entry lookup by exact name.
     pub fn param(&self, name: &str) -> Option<&ParamEntry> {
-        self.params.iter().find(|p| p.name == name)
+        self.params.by_name.get(name).map(|&i| &self.params[i])
     }
 
     /// Entry lookup ignoring ASCII case (for "wrong case" suggestions).
+    /// Among several case variants the smallest name in byte order wins:
+    /// the one [`save_to_string`](ConstraintDb::save_to_string) writes
+    /// first, so the answer does not depend on insertion order.
     pub fn param_ignore_case(&self, name: &str) -> Option<&ParamEntry> {
-        self.params
-            .iter()
-            .find(|p| p.name.eq_ignore_ascii_case(name))
+        let lower = name.to_ascii_lowercase();
+        let variants = self.params.by_lower.get(&lower).into_iter().flatten();
+        let entries = variants.map(|&i| &self.params[i]).chain(self.param(&lower));
+        entries.min_by(|a, b| a.name.cmp(&b.name))
     }
 
     /// All known parameter names, in entry order.
@@ -349,20 +439,18 @@ impl ConstraintDb {
     /// After this, the in-memory database equals what `load(save(self))`
     /// returns.
     pub fn canonicalize(&mut self) {
-        self.params.sort_by(|a, b| a.name.cmp(&b.name));
-        for p in &mut self.params {
-            p.sync_provenance();
+        let entries = &mut self.params.entries;
+        entries.sort_by(|a, b| a.name.cmp(&b.name));
+        for p in entries.iter_mut() {
             let mut rows: Vec<(Constraint, String)> = p
                 .constraints
                 .drain(..)
                 .zip(p.provenance.drain(..))
                 .collect();
             rows.sort_by_cached_key(|(c, m)| canonical_key(c, m));
-            for (c, m) in rows {
-                p.constraints.push(c);
-                p.provenance.push(m);
-            }
+            (p.constraints, p.provenance) = rows.into_iter().unzip();
         }
+        self.params.reindex();
     }
 
     /// Parses the text format back into a database. Both `v1` and `v2`
@@ -530,8 +618,8 @@ impl ConstraintDb {
     }
 
     fn merge_one(&mut self, c: &Constraint, module: &str, report: &mut MergeReport) {
-        let entry = self.note_param(&c.param);
-        entry.sync_provenance();
+        let slot = self.params.slot(&c.param);
+        let entry = &self.params.entries[slot];
         // Exact duplicate: the incumbent wins outright.
         if entry.constraints.iter().any(|have| have.kind == c.kind) {
             report.deduped += 1;
@@ -556,8 +644,7 @@ impl ConstraintDb {
                 _ => false,
             });
         let Some(i) = rival else {
-            entry.constraints.push(c.clone());
-            entry.provenance.push(module.to_string());
+            self.params.push(slot, c.clone(), module);
             report.added += 1;
             return;
         };
@@ -586,11 +673,16 @@ impl ConstraintDb {
                 _ => module.to_string(),
             },
         });
+        let entry = &mut self.params.entries[slot];
         match resolved {
             ConflictWinner::Incumbent => {}
             ConflictWinner::Challenger => {
                 entry.constraints[i] = c.clone();
                 entry.provenance[i] = module.to_string();
+                if !entry.provenance.contains(&incumbent_module) {
+                    unlink(&mut self.params.by_module, &incumbent_module, slot);
+                }
+                link(&mut self.params.by_module, module, slot);
             }
             ConflictWinner::Blend(kind) => {
                 let blended = report.conflicts.last_mut().expect("just pushed");
@@ -1856,27 +1948,6 @@ mod tests {
         assert!(report.conflicts.is_empty());
         assert_eq!(report.added, 1);
         assert_eq!(a.param("mode").unwrap().constraints.len(), 3);
-    }
-
-    #[test]
-    fn merge_tolerates_hand_built_entries_without_provenance() {
-        // Entries built by struct literal may have an empty provenance
-        // vec; merging into them must neither panic nor misalign.
-        let (c1, _) = range_c("threads", 1, 1000, "");
-        let mut a = ConstraintDb::new("S", Dialect::KeyValue);
-        a.params.push(ParamEntry {
-            name: "threads".into(),
-            constraints: vec![c1],
-            provenance: Vec::new(), // deliberately out of sync
-        });
-        let mut b = ConstraintDb::new("S", Dialect::KeyValue);
-        let (tight, m) = range_c("threads", 1, 16, "shard-b");
-        b.add_from(tight.clone(), &m);
-        let report = a.merge(&b).unwrap();
-        assert_eq!(report.conflicts.len(), 1);
-        let entry = a.param("threads").unwrap();
-        assert_eq!(entry.constraints, vec![tight]);
-        assert_eq!(entry.provenance, vec!["shard-b"]);
     }
 
     #[test]

@@ -28,8 +28,9 @@
 //!    [`SarifRenderer`]) and mapped to stable exit codes.
 //!
 //! [`Workspace`] ties it together as a long-lived session: incremental
-//! re-inference on edit, a cached `CheckSession` invalidated only when
-//! the database changes, and database merging for sharded analysis.
+//! re-inference on edit, checking straight off the owned database (which
+//! is its own parameter index), and database merging for sharded
+//! analysis.
 //! (The pre-0.3 `BatchEngine`/`Checker` wrappers were removed in 0.4;
 //! batch work goes through [`CheckSession::check_texts`] /
 //! [`CheckSession::check_paths`] or the workspace equivalents.)
@@ -76,7 +77,7 @@ pub mod report;
 pub mod session;
 pub mod workspace;
 
-pub use db::{ConstraintDb, DbError, MergeConflict, MergeError, MergeReport, ParamEntry};
+pub use db::{ConstraintDb, DbError, MergeConflict, MergeError, MergeReport, ParamEntry, Params};
 pub use diag::{Diagnostic, Fix, Origin, Severity};
 pub use env::{Environment, FsEnv, StaticEnv};
 pub use report::{

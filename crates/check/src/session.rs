@@ -2,11 +2,11 @@
 //! database, no copies, every front-end.
 //!
 //! A `CheckSession<'db>` *borrows* its [`ConstraintDb`] — constructing one
-//! builds a name index but never clones a constraint, so "check on every
-//! edit" costs per-file work only. It is the single implementation behind
+//! builds nothing and never clones a constraint, because the database
+//! itself is the parameter index; "check on every edit" costs per-file
+//! work only. It is the single implementation behind
 //! [`Workspace::check_text`](crate::Workspace::check_text) and
-//! [`Workspace::check_paths`](crate::Workspace::check_paths) (which cache
-//! a session until the database changes).
+//! [`Workspace::check_paths`](crate::Workspace::check_paths).
 //!
 //! Each setting in a file is vetted against every constraint inferred for
 //! its parameter: basic-type conformance, semantic-type plausibility
@@ -58,7 +58,6 @@ use spex_conf::{ConfFile, Entry};
 use spex_core::constraint::{
     BasicType, CmpOp, ConstraintKind, DiagCode, EnumValue, SemType, SizeUnit, TimeUnit,
 };
-use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -83,47 +82,14 @@ fn absurd_time_bar(unit: TimeUnit) -> (i64, &'static str) {
     }
 }
 
-/// The parameter-name index a session answers lookups from. Owned (no
-/// borrows into the database), so [`Workspace`](crate::Workspace) can
-/// cache one across calls and hand it to each fresh session.
-#[derive(Debug, Default)]
-pub(crate) struct ParamIndex {
-    /// Exact name → position in `db.params`.
-    by_name: HashMap<String, usize>,
-    /// ASCII-lowercased name → first matching position (wrong-case
-    /// suggestions and case-insensitive key mode).
-    by_lower: HashMap<String, usize>,
-    /// ASCII-lowercased name per position (parallel to `db.params`), so
-    /// case-insensitive did-you-mean scans never re-lowercase the db.
-    lowered: Vec<String>,
-}
-
-impl ParamIndex {
-    /// Indexes every parameter of `db` (the only O(db) step of building a
-    /// session; no constraint is copied).
-    pub(crate) fn build(db: &ConstraintDb) -> ParamIndex {
-        let mut index = ParamIndex {
-            by_name: HashMap::with_capacity(db.params.len()),
-            by_lower: HashMap::with_capacity(db.params.len()),
-            lowered: Vec::with_capacity(db.params.len()),
-        };
-        for (i, p) in db.params.iter().enumerate() {
-            index.by_name.entry(p.name.clone()).or_insert(i);
-            let lower = p.name.to_ascii_lowercase();
-            index.by_lower.entry(lower.clone()).or_insert(i);
-            index.lowered.push(lower);
-        }
-        index
-    }
-}
+/// The largest Levenshtein distance a "did you mean" suggestion spans.
+const MAX_SUGGEST_DISTANCE: usize = 3;
 
 /// The borrowed validation engine for one system (see the module docs).
 pub struct CheckSession<'db> {
     db: &'db ConstraintDb,
-    index: Arc<ParamIndex>,
     env: Option<&'db (dyn Environment + Sync)>,
     threads: usize,
-    max_suggest_distance: usize,
     case_insensitive_keys: bool,
     recorder: Option<Arc<spex_obs::Recorder>>,
 }
@@ -138,20 +104,12 @@ struct Occurrence<'c> {
 impl<'db> CheckSession<'db> {
     /// A session over a borrowed database, with no environment model.
     pub fn new(db: &'db ConstraintDb) -> CheckSession<'db> {
-        CheckSession::with_index(db, Arc::new(ParamIndex::build(db)))
-    }
-
-    /// A session reusing a prebuilt index for `db` (the workspace cache
-    /// path; `index` must have been built from this exact `db` state).
-    pub(crate) fn with_index(db: &'db ConstraintDb, index: Arc<ParamIndex>) -> CheckSession<'db> {
         CheckSession {
             db,
-            index,
             env: None,
             threads: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
-            max_suggest_distance: 3,
             case_insensitive_keys: false,
             recorder: None,
         }
@@ -179,13 +137,6 @@ impl<'db> CheckSession<'db> {
         self
     }
 
-    /// Overrides the maximum Levenshtein distance for "did you mean"
-    /// suggestions.
-    pub fn with_max_suggest_distance(mut self, distance: usize) -> CheckSession<'db> {
-        self.max_suggest_distance = distance;
-        self
-    }
-
     /// Treats parameter names as case-insensitive: a key differing from a
     /// known parameter only by letter case is checked against that
     /// parameter instead of being flagged unknown, and did-you-mean
@@ -202,23 +153,10 @@ impl<'db> CheckSession<'db> {
     }
 
     fn entry(&self, name: &str) -> Option<&'db ParamEntry> {
-        if let Some(&i) = self.index.by_name.get(name) {
-            return self.db.params.get(i);
+        match self.db.param(name) {
+            None if self.case_insensitive_keys => self.db.param_ignore_case(name),
+            found => found,
         }
-        if self.case_insensitive_keys {
-            if let Some(&i) = self.index.by_lower.get(&name.to_ascii_lowercase()) {
-                return self.db.params.get(i);
-            }
-        }
-        None
-    }
-
-    /// A known parameter differing from `name` only by ASCII case.
-    fn case_twin(&self, name: &str) -> Option<&'db ParamEntry> {
-        self.index
-            .by_lower
-            .get(&name.to_ascii_lowercase())
-            .and_then(|&i| self.db.params.get(i))
     }
 
     // -- Single-file checking -------------------------------------------
@@ -353,7 +291,7 @@ impl<'db> CheckSession<'db> {
         // A case twin is only meaningful when keys are case-*sensitive*
         // (in insensitive mode the lookup would have matched it already).
         if !self.case_insensitive_keys {
-            if let Some(entry) = self.case_twin(occ.name) {
+            if let Some(entry) = self.db.param_ignore_case(occ.name) {
                 return d
                     .suggest(format!(
                         "parameter names are case-sensitive here; did you mean \"{}\"?",
@@ -365,25 +303,21 @@ impl<'db> CheckSession<'db> {
                     });
             }
         }
-        let lowered;
-        let needle = if self.case_insensitive_keys {
-            lowered = occ.name.to_ascii_lowercase();
-            lowered.as_str()
-        } else {
-            occ.name
-        };
+        let cap = MAX_SUGGEST_DISTANCE + 1;
+        let lowered = occ.name.to_ascii_lowercase();
         let mut best: Option<(usize, &str)> = None;
-        for (i, p) in self.db.params.iter().enumerate() {
-            // In case-insensitive mode compare against the lowered names
-            // the index already computed at build time.
-            let candidate = if self.case_insensitive_keys {
-                self.index.lowered[i].as_str()
+        for p in &self.db.params {
+            let dist = if self.case_insensitive_keys {
+                levenshtein(&lowered, &p.name.to_ascii_lowercase(), cap)
             } else {
-                p.name.as_str()
+                levenshtein(occ.name, &p.name, cap)
             };
-            let dist = levenshtein(needle, candidate, self.max_suggest_distance + 1);
-            if dist <= self.max_suggest_distance && best.map(|(b, _)| dist < b).unwrap_or(true) {
-                best = Some((dist, p.name.as_str()));
+            // A tie goes to the smallest name in byte order, the order
+            // `save_to_string` writes: a workspace (first-seen order) and
+            // a loaded database (name order) suggest the same key.
+            let candidate = (dist, p.name.as_str());
+            if dist <= MAX_SUGGEST_DISTANCE && best.is_none_or(|b| candidate < b) {
+                best = Some(candidate);
             }
         }
         if let Some((_, known)) = best {
@@ -950,12 +884,12 @@ impl<'db> CheckSession<'db> {
                     .filter(|a| a.valid)
                     .filter_map(|a| match &a.value {
                         EnumValue::Str(s) => Some((
-                            levenshtein(occ.value, s, self.max_suggest_distance + 1),
+                            levenshtein(occ.value, s, MAX_SUGGEST_DISTANCE + 1),
                             s.as_str(),
                         )),
                         EnumValue::Int(_) => None,
                     })
-                    .filter(|(dist, _)| *dist <= self.max_suggest_distance)
+                    .filter(|(dist, _)| *dist <= MAX_SUGGEST_DISTANCE)
                     .min_by_key(|(dist, _)| *dist);
                 let mut d = d.suggest(format!("accepted values: {}", valid.join(", ")));
                 if let Some((_, word)) = nearest {

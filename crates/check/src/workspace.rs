@@ -16,9 +16,8 @@
 //!   work is proportional to the change, and the result is identical to a
 //!   full re-analysis;
 //! * [`Workspace::session`] hands out a borrowed [`CheckSession`] over
-//!   the owned database — the parameter index behind it is cached and
-//!   invalidated only when `reanalyze`/`merge_db` actually change the
-//!   database, so checking never copies a constraint;
+//!   the owned database, which is its own parameter index: a session
+//!   builds nothing, and checking never copies a constraint;
 //! * [`Workspace::check_paths`] streams whole config trees through the
 //!   worker pool with bounded memory, so the persisted constraints vet
 //!   every deployment the moment it is staged.
@@ -53,7 +52,7 @@ use crate::db::{ConstraintDb, MergeError, MergeReport};
 use crate::diag::{Diagnostic, Severity};
 use crate::env::{Environment, FsEnv, StaticEnv};
 use crate::report::{FileReport, Report};
-use crate::session::{CheckSession, ParamIndex};
+use crate::session::CheckSession;
 use spex_conf::{ConfFile, Dialect};
 use spex_core::apispec::ApiSpec;
 use spex_core::fingerprint::{
@@ -198,6 +197,19 @@ pub struct ReanalyzeReport {
     pub passes: PassCounts,
 }
 
+impl ReanalyzeReport {
+    /// Adds another report's counts to this one (a running total over
+    /// many `reanalyze` calls).
+    pub fn accumulate(&mut self, other: &ReanalyzeReport) {
+        self.modules_analyzed += other.modules_analyzed;
+        self.params_total += other.params_total;
+        self.params_reinferred += other.params_reinferred;
+        self.constraints_added += other.constraints_added;
+        self.constraints_removed += other.constraints_removed;
+        self.passes.accumulate(&other.passes);
+    }
+}
+
 /// An incremental analysis-and-validation session (see the module docs).
 ///
 /// This is the primary entry point of the crate: build one per subject
@@ -217,31 +229,9 @@ pub struct Workspace {
     /// parsed elsewhere, documentation imports, ...).
     noted: BTreeSet<String>,
     db: ConstraintDb,
-    /// Bumped by every database mutation —
-    /// [`reanalyze`](Workspace::reanalyze),
-    /// [`merge_db`](Workspace::merge_db),
-    /// [`note_params`](Workspace::note_params),
-    /// [`remove_module`](Workspace::remove_module) — so the session
-    /// cache rebuilds when its version falls behind.
-    db_version: u64,
-    /// The cached parameter index checking sessions are built from
-    /// (interior-mutable: `check_*` take `&self`).
-    cache: Mutex<SessionCache>,
     /// The telemetry sink, when observability is enabled — see
     /// [`enable_telemetry`](Workspace::enable_telemetry).
     telemetry: Option<Arc<spex_obs::Recorder>>,
-}
-
-/// The lazily (re)built state behind [`Workspace::session`].
-#[derive(Default)]
-struct SessionCache {
-    /// `db_version` the index was built against.
-    version: u64,
-    /// The owned name index, shared into each borrowed session.
-    index: Option<Arc<ParamIndex>>,
-    /// How many times the index was (re)built — the cache-effectiveness
-    /// counter regression tests assert on.
-    rebuilds: usize,
 }
 
 impl Workspace {
@@ -259,8 +249,6 @@ impl Workspace {
             env: None,
             modules: BTreeMap::new(),
             noted: BTreeSet::new(),
-            db_version: 0,
-            cache: Mutex::new(SessionCache::default()),
             telemetry: None,
         }
     }
@@ -367,18 +355,20 @@ impl Workspace {
             self.noted.insert(n.as_ref().to_string());
             self.db.note_param(n.as_ref());
         }
-        self.db_version += 1;
     }
 
     /// Merges another database for the same system into the owned one
     /// (cross-process sharding: N workers analyze module subsets, the
     /// coordinator folds their databases in). Conflicts resolve exactly
-    /// as in [`ConstraintDb::merge`]; the cached checking session is
-    /// invalidated.
+    /// as in [`ConstraintDb::merge`]; the next check sees the merged
+    /// constraints.
     pub fn merge_db(&mut self, other: &ConstraintDb) -> Result<MergeReport, MergeError> {
-        let report = self.db.merge(other)?;
-        self.db_version += 1;
-        Ok(report)
+        self.db.merge(other)
+    }
+
+    /// Names of every module the workspace owns, sorted.
+    pub fn modules(&self) -> Vec<&str> {
+        self.modules.keys().map(String::as_str).collect()
     }
 
     /// Module names with un-analyzed changes, sorted.
@@ -523,7 +513,6 @@ impl Workspace {
             self.db.remove_source_param(name, param);
             self.drop_param_if_orphaned(param);
         }
-        self.db_version += 1;
         Ok(())
     }
 
@@ -744,7 +733,6 @@ impl Workspace {
                 self.drop_param_if_orphaned(&param);
             }
         }
-        self.db_version += 1;
         report
     }
 
@@ -797,26 +785,14 @@ impl Workspace {
     // -- Checking -------------------------------------------------------
 
     /// A borrowed [`CheckSession`] over the current database — **zero
-    /// copies**. The parameter index behind it is cached inside the
-    /// workspace and rebuilt only after the database changes
-    /// ([`reanalyze`](Workspace::reanalyze),
-    /// [`merge_db`](Workspace::merge_db), ...), so calling this per
-    /// keystroke or per file costs a mutex lock and an `Arc` bump,
-    /// nothing more.
+    /// copies**, and nothing built: the database is its own parameter
+    /// index, so calling this per keystroke or per file costs a few field
+    /// copies.
     ///
     /// The returned session borrows the workspace; drop it before the
     /// next `&mut self` call.
     pub fn session(&self) -> CheckSession<'_> {
-        let index = {
-            let mut cache = self.cache.lock().unwrap();
-            if cache.index.is_none() || cache.version != self.db_version {
-                cache.index = Some(Arc::new(ParamIndex::build(&self.db)));
-                cache.version = self.db_version;
-                cache.rebuilds += 1;
-            }
-            Arc::clone(cache.index.as_ref().expect("just built"))
-        };
-        let mut session = CheckSession::with_index(&self.db, index).with_threads(self.threads);
+        let mut session = CheckSession::new(&self.db).with_threads(self.threads);
         if let Some(env) = &self.env {
             session = session.with_env(env.as_ref());
         }
@@ -824,13 +800,6 @@ impl Workspace {
             session = session.with_recorder(Arc::clone(rec));
         }
         session
-    }
-
-    /// How many times the cached session index has been (re)built — one
-    /// per database generation, regardless of how many checks ran (the
-    /// regression tests for the borrowed engine assert on this).
-    pub fn session_rebuilds(&self) -> usize {
-        self.cache.lock().unwrap().rebuilds
     }
 
     /// Total deep-clone count across the lineages of every stored module
@@ -877,8 +846,8 @@ impl Workspace {
 
     /// Streaming batch validation of files and directory trees against the
     /// current database (see [`CheckSession::check_paths`] for the
-    /// walking, memory and ordering guarantees). Runs on the cached
-    /// borrowed session: no `ConstraintDb` copy, per call or per file.
+    /// walking, memory and ordering guarantees). Runs on a borrowed
+    /// session: no `ConstraintDb` copy, per call or per file.
     pub fn check_paths<P: AsRef<Path>>(&self, roots: &[P]) -> std::io::Result<Report> {
         self.session().check_paths(roots)
     }

@@ -9,7 +9,6 @@
 //! domain socket; connections are served sequentially against the same
 //! warm workspace until a `shutdown` request arrives).
 
-use std::collections::BTreeSet;
 use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
 
@@ -25,9 +24,6 @@ const PROTOCOL: u32 = 1;
 /// The warm state a daemon serves from.
 struct DaemonState {
     ws: Workspace,
-    /// Names of modules fed through `analyze` requests (the workspace
-    /// doesn't expose its module set).
-    modules: BTreeSet<String>,
     /// Counters from the most recent `analyze` request.
     last: ReanalyzeReport,
     /// Field-wise sums over every `analyze` request.
@@ -74,7 +70,6 @@ pub fn run(mut args: std::vec::IntoIter<String>) -> CliResult {
     }
     let mut state = DaemonState {
         ws,
-        modules: BTreeSet::new(),
         last: ReanalyzeReport::default(),
         total: ReanalyzeReport::default(),
         checks: 0,
@@ -216,7 +211,7 @@ fn op_analyze(state: &mut DaemonState, id: Option<i64>, req: &Json) -> String {
             return error_reply(id, &format!("analyze: module {name:?} without \"source\""));
         };
         let annotations = m.get("annotations").and_then(Json::as_str);
-        let result = if state.modules.contains(name) {
+        let result = if state.ws.modules().contains(&name) {
             state
                 .ws
                 .update_module(name, source)
@@ -229,16 +224,13 @@ fn op_analyze(state: &mut DaemonState, id: Option<i64>, req: &Json) -> String {
             state
                 .ws
                 .add_module(name.to_string(), source, annotations.unwrap_or(""))
-                .map(|()| {
-                    state.modules.insert(name.to_string());
-                })
         };
         if let Err(e) = result {
             return error_reply(id, &e.to_string());
         }
     }
     let r = state.ws.reanalyze();
-    absorb(&mut state.total, &r);
+    state.total.accumulate(&r);
     state.last = r.clone();
     format!(
         "{{\"v\":{PROTOCOL},\"id\":{},\"op\":\"analyze\",\"ok\":true,\
@@ -316,23 +308,24 @@ fn op_react(state: &mut DaemonState, id: Option<i64>) -> String {
     )
 }
 
-/// `status`: warm-state introspection — database shape, cache
-/// effectiveness counters, and the pass accounting for the last and the
-/// cumulative `analyze` requests.
+/// `status`: warm-state introspection — database shape, zero-copy
+/// counters, and the pass accounting for the last and the cumulative
+/// `analyze` requests. `session_rebuilds` is always 0: sessions borrow
+/// the database, which is its own index, so there is nothing to rebuild.
+/// The key stays because removing a reply field needs a protocol bump.
 fn op_status(state: &mut DaemonState, id: Option<i64>) -> String {
     let db = state.ws.db();
     format!(
         "{{\"v\":{PROTOCOL},\"id\":{},\"op\":\"status\",\"ok\":true,\
          \"system\":{},\"modules\":{},\"params\":{},\"constraints\":{},\
-         \"checks\":{},\"session_rebuilds\":{},\"module_clones\":{},\"function_clones\":{},\
+         \"checks\":{},\"session_rebuilds\":0,\"module_clones\":{},\"function_clones\":{},\
          \"last\":{},\"total\":{}}}\n",
         id_json(id),
         quote(state.ws.system()),
-        state.modules.len(),
+        state.ws.modules().len(),
         db.param_names().count(),
         db.constraint_count(),
         state.checks,
-        state.ws.session_rebuilds(),
         state.ws.module_clones(),
         state.ws.function_clones(),
         report_json(&state.last),
@@ -364,26 +357,4 @@ fn report_json(r: &ReanalyzeReport) -> String {
         r.passes.react_runs,
         r.passes.react_cache_hits,
     )
-}
-
-/// Field-wise accumulation for the `total` block of `status`.
-fn absorb(total: &mut ReanalyzeReport, r: &ReanalyzeReport) {
-    total.modules_analyzed += r.modules_analyzed;
-    total.params_total += r.params_total;
-    total.params_reinferred += r.params_reinferred;
-    total.constraints_added += r.constraints_added;
-    total.constraints_removed += r.constraints_removed;
-    total.passes.basic_type += r.passes.basic_type;
-    total.passes.semantic_type += r.passes.semantic_type;
-    total.passes.range += r.passes.range;
-    total.passes.control_dep += r.passes.control_dep;
-    total.passes.value_rel += r.passes.value_rel;
-    total.passes.mapping_extractions += r.passes.mapping_extractions;
-    total.passes.mapping_cache_hits += r.passes.mapping_cache_hits;
-    total.passes.summary_runs += r.passes.summary_runs;
-    total.passes.summary_cache_hits += r.passes.summary_cache_hits;
-    total.passes.taint_runs += r.passes.taint_runs;
-    total.passes.taint_cache_hits += r.passes.taint_cache_hits;
-    total.passes.react_runs += r.passes.react_runs;
-    total.passes.react_cache_hits += r.passes.react_cache_hits;
 }

@@ -50,6 +50,17 @@ void fb() { if (beta > 64) { beta = 64; } }
 
 const TWO_FN_SPEX: &str = "{ @STRUCT = boptions\n  @PAR = [bopt, 1]\n  @VAR = [bopt, 2] }";
 
+/// A did-you-mean tie: `port_c` is one edit from both keys, and the
+/// option table lists `port_b` first. A workspace holds its entries in
+/// first-seen order, a loaded database in name order.
+const PORT_TIE_C: &str = r#"
+int port_b = 8081;
+int port_a = 8080;
+struct opt { char* name; int* var; };
+struct opt options[] = { { "port_b", &port_b }, { "port_a", &port_a } };
+void serve() { listen(0, port_a); listen(0, port_b); }
+"#;
+
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_spex"))
 }
@@ -361,6 +372,56 @@ fn daemon_check_is_byte_identical_to_one_shot() {
     assert_eq!(
         replies[1].0.get("op").and_then(Json::as_str),
         Some("shutdown")
+    );
+
+    // A daemon that built its database through `analyze` must break a
+    // suggestion tie the way the one-shot check over the saved db does.
+    let src = s.write("tie/ports.c", PORT_TIE_C);
+    s.write("tie/ports.spex", GUARDED_SPEX);
+    let tie_db = s.path("tie.spexdb");
+    let out = bin()
+        .args(["analyze", "--quiet", "--system", "tie", "--db"])
+        .arg(&tie_db)
+        .arg(&src)
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "analyze: {}", stderr_str(&out));
+    let conf = s.write("tie-conf/a.conf", "port_c = 1\n");
+    let one_shot = bin()
+        .args(["check", "--format", "jsonl", "--db"])
+        .arg(&tie_db)
+        .arg(&conf)
+        .output()
+        .unwrap();
+    assert!(
+        stdout_str(&one_shot).contains(r#"did you mean \"port_a\"?"#),
+        "{}",
+        stdout_str(&one_shot)
+    );
+    let quote = spex::check::json::quote;
+    let stream = daemon_session(
+        &["--system", "tie"],
+        &[
+            format!(
+                "{{\"v\":1,\"id\":1,\"op\":\"analyze\",\"modules\":[{{\"name\":{},\"source\":{},\"annotations\":{}}}]}}",
+                quote(src.to_str().unwrap()),
+                quote(PORT_TIE_C),
+                quote(GUARDED_SPEX)
+            ),
+            format!(
+                "{{\"v\":1,\"id\":2,\"op\":\"check\",\"paths\":[{}]}}",
+                quote(conf.to_str().unwrap())
+            ),
+            "{\"v\":1,\"id\":3,\"op\":\"shutdown\"}".into(),
+        ],
+    );
+    let replies = split_replies(&stream);
+    assert_eq!(replies.len(), 3);
+    assert_eq!(replies[0].0.get("ok"), Some(&Json::Bool(true)));
+    assert_eq!(
+        replies[1].1,
+        stdout_str(&one_shot),
+        "a workspace-ordered db broke the tie differently"
     );
 }
 

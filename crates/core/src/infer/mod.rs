@@ -223,12 +223,13 @@ impl SpexAnalysis {
 /// CFGs, dominators, use-def chains), the config-mapping extraction
 /// result, and the per-parameter taint slices.
 ///
-/// One cache belongs to one module lineage. [`Spex::analyze_cached`]
-/// consults it when given the set of dirty function names and refills it
-/// after every run, so a warm re-analysis after a small edit recomputes
-/// only the artifacts the edit could have touched and reuses the rest by
-/// `Arc` bump. Dropping the cache (or passing `dirty = None`) degrades
-/// gracefully to a full analysis.
+/// One cache belongs to one module lineage.
+/// [`Spex::analyze_cached_threaded`] consults it when given the set of
+/// dirty function names and refills it after every run, so a warm
+/// re-analysis after a small edit recomputes only the artifacts the edit
+/// could have touched and reuses the rest by `Arc` bump. Dropping the
+/// cache (or passing `dirty = None`) degrades gracefully to a full
+/// analysis.
 #[derive(Default)]
 pub struct PassCache {
     state: Option<CacheState>,
@@ -427,18 +428,14 @@ pub struct Spex;
 impl Spex {
     /// Analyzes a module with the standard API registry.
     pub fn analyze(module: Module, anns: &[Annotation]) -> SpexAnalysis {
-        Self::analyze_with_spec(module, anns, ApiSpec::standard())
+        Self::analyze_scoped(&module, anns, ApiSpec::standard(), None)
     }
 
-    /// Analyzes a module with a custom API registry (the paper imported
-    /// Storage-A's proprietary APIs this way).
-    pub fn analyze_with_spec(module: Module, anns: &[Annotation], spec: ApiSpec) -> SpexAnalysis {
-        Self::analyze_scoped(&module, anns, spec, None)
-    }
-
-    /// Analyzes a borrowed module, optionally restricted to a change
-    /// [`InferScope`]. The module is never deep-cloned: function bodies
-    /// are promoted to SSA straight off the reference.
+    /// Analyzes a borrowed module with an API registry (the paper
+    /// imported Storage-A's proprietary APIs this way), optionally
+    /// restricted to a change [`InferScope`]. The module is never
+    /// deep-cloned: function bodies are promoted to SSA straight off the
+    /// reference.
     ///
     /// With `scope = None` this is the classic full analysis. With a scope,
     /// mapping extraction and taint tracking still run for every parameter
@@ -452,11 +449,21 @@ impl Spex {
         spec: ApiSpec,
         scope: Option<&InferScope>,
     ) -> SpexAnalysis {
-        Self::analyze_cached(module, anns, spec, scope, None, &mut PassCache::default())
+        Self::analyze_cached_threaded(
+            module,
+            anns,
+            spec,
+            scope,
+            None,
+            &mut PassCache::default(),
+            1,
+        )
     }
 
     /// Like [`analyze_scoped`](Spex::analyze_scoped), but consulting and
-    /// refilling a [`PassCache`] across calls.
+    /// refilling a [`PassCache`] across calls, with the per-parameter
+    /// inference passes fanned across up to `threads` scoped workers (the
+    /// `spex-pool` primitive).
     ///
     /// `dirty` names every function whose lowered IR changed since the
     /// cache was last filled — changed, added *and* removed ones (the
@@ -467,20 +474,6 @@ impl Spex {
     /// parameter's taint slice is reused unless the edit could reach it —
     /// see [`PassCounts`] for the hit/miss accounting. With `dirty = None`
     /// (or a cold cache) everything is recomputed and the cache seeded.
-    pub fn analyze_cached(
-        module: &Module,
-        anns: &[Annotation],
-        spec: ApiSpec,
-        scope: Option<&InferScope>,
-        dirty: Option<&BTreeSet<String>>,
-        cache: &mut PassCache,
-    ) -> SpexAnalysis {
-        Self::analyze_cached_threaded(module, anns, spec, scope, dirty, cache, 1)
-    }
-
-    /// Like [`analyze_cached`](Spex::analyze_cached), with the
-    /// per-parameter inference passes fanned across up to `threads`
-    /// scoped workers (the `spex-pool` primitive).
     ///
     /// The output is **byte-identical to the serial run** at every thread
     /// count: results come back in parameter index order, the pass

@@ -306,14 +306,13 @@ fn extract_parser(
         .function_by_name(function)
         .ok_or_else(|| MappingError(format!("no function named `{function}`")))?;
     let func = am.module.func(fid);
-    let ud = &am.usedefs[fid.index()];
     let dom = &am.doms[fid.index()];
 
     let name_values = varref_values(am, fid, par)?;
     let mut out = Vec::new();
 
     // Find `strcmp`-family calls comparing a name value with a literal.
-    for (b, i, instr, span) in func.iter_instrs() {
+    for (_, _, instr, span) in func.iter_instrs() {
         let Instr::Call {
             dst: Some(dst),
             callee: Callee::Builtin(bi),
@@ -339,7 +338,6 @@ fn extract_parser(
         // Collect value roots within the region dominated by the match
         // block.
         let roots = value_roots_in_region(am, fid, var, match_block, dom);
-        let _ = (b, i);
         if !roots.is_empty() {
             out.push(MappedParam {
                 name: lit,
@@ -350,7 +348,6 @@ fn extract_parser(
                 backing_global: None,
             });
         }
-        let _ = ud;
     }
     Ok(out)
 }
@@ -514,19 +511,10 @@ fn value_roots_in_region(
             continue;
         }
         match instr {
-            Instr::Load { dst, place } => {
-                // `$argv[1]`-style: the indexed load inside the branch *is*
-                // the parameter's value.
-                if let Some(idx) = var.index {
-                    if value_values.is_empty() {
-                        // Loads were collected globally; check shape directly.
-                        let _ = idx;
-                    }
-                }
-                if value_values.contains(dst) {
-                    roots.push(TaintRoot::Value(fid, *dst));
-                    let _ = place;
-                }
+            // `$argv[1]`-style: the indexed load inside the branch *is*
+            // the parameter's value.
+            Instr::Load { dst, .. } if value_values.contains(dst) => {
+                roots.push(TaintRoot::Value(fid, *dst));
             }
             Instr::Call { dst, callee, args } => {
                 for (pos, a) in args.iter().enumerate() {

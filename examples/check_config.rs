@@ -59,7 +59,7 @@ fn main() {
     }
 
     // 3. Check: one borrowed session serves every check below — building
-    //    it indexes the parameter names once and copies nothing.
+    //    it copies nothing (the database is its own name index).
     let session = CheckSession::new(&db).with_env(&env);
     let clean = session.check_text(&built.gen.template_conf);
     println!(

@@ -5,9 +5,12 @@
 //! exercised over a few hundred pseudo-random inputs from a fixed seed,
 //! which keeps failures reproducible without an external shrinker.
 
+use spex::check::{CheckSession, ConstraintDb};
 use spex::conf::{ConfFile, Dialect};
+use spex::core::constraint::{BasicType, Constraint, ConstraintKind, NumericRange, RangeSegment};
 use spex::core::CmpOp;
 use spex::inject::harness::intended_value;
+use spex::lang::diag::Span;
 use spex::systems::rng::SplitMix64;
 use spex::vm::{Value, Vm, World};
 
@@ -309,5 +312,153 @@ fn intended_value_units() {
             intended_value(&format!("{base}G")),
             Some(Value::Int(base << 30))
         );
+    }
+}
+
+// --- Constraint database indexes --------------------------------------------
+
+/// Parameter names with case variants and one-edit neighbours, so lookups
+/// hit case twins and did-you-mean scans hit ties.
+const DB_NAMES: &[&str] = &[
+    "port_a", "port_b", "Port_a", "PORT_B", "host", "Host", "hosts", "timeout", "TimeOut",
+];
+
+/// Provenance modules, shared between names (empty = hand-built).
+const DB_MODULES: &[&str] = &["a.c", "b.c", "c.c", ""];
+
+/// Keys no database here holds: case twins and typos of `DB_NAMES`.
+const DB_KEYS: &[&str] = &[
+    "port_c", "PORT_A", "Port_B", "port", "hostz", "HOST", "hots", "timeouts", "TIMEOUT", "xyz",
+];
+
+fn pick_str<'a>(g: &mut Gen, pool: &[&'a str]) -> &'a str {
+    pool[g.usize(0, pool.len())]
+}
+
+/// A random constraint: a basic type or a small range, so merges meet
+/// duplicates, tighter and looser rivals.
+fn gen_db_constraint(g: &mut Gen, param: &str) -> Constraint {
+    let kind = match g.usize(0, 3) {
+        0 => ConstraintKind::BasicType(BasicType::Int {
+            bits: [16, 32, 64][g.usize(0, 3)],
+            signed: true,
+        }),
+        1 => ConstraintKind::BasicType(BasicType::Bool),
+        _ => {
+            let lo = g.int(0, 4);
+            let hi = lo + g.int(1, 6);
+            ConstraintKind::Range(NumericRange {
+                cutpoints: vec![lo, hi],
+                segments: vec![
+                    RangeSegment {
+                        lo: None,
+                        hi: Some(lo - 1),
+                        valid: false,
+                    },
+                    RangeSegment {
+                        lo: Some(lo),
+                        hi: Some(hi),
+                        valid: true,
+                    },
+                    RangeSegment {
+                        lo: Some(hi + 1),
+                        hi: None,
+                        valid: false,
+                    },
+                ],
+            })
+        }
+    };
+    Constraint {
+        param: param.to_string(),
+        kind,
+        in_function: "f".into(),
+        span: Span::new(g.usize(1, 9) as u32, 1),
+    }
+}
+
+/// A small random database for `merge` to fold in.
+fn gen_db(g: &mut Gen) -> ConstraintDb {
+    let mut db = ConstraintDb::new("S", Dialect::KeyValue);
+    for _ in 0..g.usize(0, 5) {
+        let name = pick_str(g, DB_NAMES);
+        let module = pick_str(g, DB_MODULES);
+        db.add_from(gen_db_constraint(g, name), module);
+    }
+    db
+}
+
+/// After any sequence of mutations, every indexed lookup equals a linear
+/// scan of `params`, and a session over the in-memory database (first-
+/// seen order) reports an unknown key exactly as one over its saved and
+/// reloaded form (name order) does.
+#[test]
+fn db_indexes_match_a_linear_scan() {
+    let mut g = Gen::new(0x0d);
+    for _ in 0..CASES {
+        let mut db = ConstraintDb::new("S", Dialect::KeyValue);
+        for _ in 0..g.usize(1, 25) {
+            let name = pick_str(&mut g, DB_NAMES);
+            let module = pick_str(&mut g, DB_MODULES);
+            match g.usize(0, 7) {
+                0 => {
+                    db.note_param(name);
+                }
+                1 => {
+                    let c = gen_db_constraint(&mut g, name);
+                    db.add_from(c, module);
+                }
+                2 => {
+                    let fresh = (0..g.usize(0, 3))
+                        .map(|_| gen_db_constraint(&mut g, name))
+                        .collect();
+                    db.replace_source_param(module, name, fresh);
+                }
+                3 => {
+                    db.remove_source_param(module, name);
+                }
+                4 => {
+                    db.remove_param(name);
+                }
+                5 => {
+                    let other = gen_db(&mut g);
+                    db.merge(&other).unwrap();
+                }
+                _ => db.canonicalize(),
+            }
+
+            for p in &db.params {
+                assert_eq!(p.constraints.len(), p.provenance.len(), "{}", p.name);
+            }
+            for &q in DB_NAMES.iter().chain(DB_KEYS) {
+                let exact = db.params.iter().find(|p| p.name == q);
+                assert_eq!(db.param(q), exact, "param({q})");
+                let folded = db
+                    .params
+                    .iter()
+                    .filter(|p| p.name.eq_ignore_ascii_case(q))
+                    .min_by(|a, b| a.name.cmp(&b.name));
+                assert_eq!(db.param_ignore_case(q), folded, "param_ignore_case({q})");
+            }
+            for &m in DB_MODULES {
+                let scan: Vec<String> = db
+                    .params
+                    .iter()
+                    .filter(|p| p.provenance.iter().any(|x| x == m))
+                    .map(|p| p.name.clone())
+                    .collect();
+                assert_eq!(db.params_from_source(m), scan, "params_from_source({m})");
+            }
+
+            let key = pick_str(&mut g, DB_KEYS);
+            let text = format!("{key} = 1\n");
+            let loaded = ConstraintDb::load_from_str(&db.save_to_string()).unwrap();
+            assert_eq!(
+                CheckSession::new(&db).check_text(&text),
+                CheckSession::new(&loaded).check_text(&text),
+                "unknown key {key:?} over {:?}",
+                db.param_names().collect::<Vec<_>>()
+            );
+        }
     }
 }
