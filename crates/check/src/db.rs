@@ -9,8 +9,11 @@
 //! (infer → persist → check).
 //!
 //! The database is also the one parameter index: beside its entries, in
-//! first-seen order, it keeps exact-name, lowercased-name and module →
+//! first-seen order, it keeps exact-name, name-order and module →
 //! parameters indexes ([`Params`]) that every lookup and mutation uses.
+//! The name-order index doubles as an implicit trie: the "did you mean"
+//! and case-twin lookups ([`ConstraintDb::nearest_param`]) walk it with a
+//! pruned edit-distance search instead of scoring every name.
 //!
 //! # Format versions
 //!
@@ -101,12 +104,15 @@ pub struct Params {
     entries: Vec<ParamEntry>,
     /// Exact name → position in `entries`.
     by_name: HashMap<String, usize>,
-    /// ASCII-lowercased name → its variants with uppercase letters (an
-    /// all-lowercase variant is found through `by_name`), so an
-    /// all-lowercase database keeps this index empty.
-    by_lower: PositionIndex,
+    /// Every position in `entries`, ordered by name (byte order): the
+    /// order `save_to_string` writes and `nearest_param` walks.
+    by_order: Vec<usize>,
     /// Provenance module → entries holding a constraint inferred from it.
     by_module: PositionIndex,
+    /// At least the longest name's length in chars (a removal leaves it
+    /// as it was): a key longer by more than `d` chars is more than `d`
+    /// edits from every name.
+    longest: usize,
 }
 
 impl Deref for Params {
@@ -127,12 +133,26 @@ impl<'a> IntoIterator for &'a Params {
 }
 
 impl Params {
+    /// Where `name` sits (`Ok`) or would sit (`Err`) in `by_order`. A
+    /// name after the last one, as every name of a loading database is,
+    /// costs one comparison.
+    fn order_of(&self, name: &str) -> Result<usize, usize> {
+        let name_at = |&p: &usize| self.entries[p].name.as_str();
+        match self.by_order.last().map(name_at) {
+            Some(last) if last < name => Err(self.by_order.len()),
+            _ => (self.by_order).binary_search_by(|p| name_at(p).cmp(name)),
+        }
+    }
+
     /// Position of the entry named `name`, appending an empty entry first
     /// when there is none.
     fn slot(&mut self, name: &str) -> usize {
         if let Some(&i) = self.by_name.get(name) {
             return i;
         }
+        let at = self
+            .order_of(name)
+            .expect_err("a new name is not ordered yet");
         self.entries.push(ParamEntry {
             name: name.to_string(),
             constraints: Vec::new(),
@@ -140,10 +160,8 @@ impl Params {
         });
         let i = self.entries.len() - 1;
         self.by_name.insert(name.to_string(), i);
-        let lower = name.to_ascii_lowercase();
-        if lower != name {
-            link(&mut self.by_lower, &lower, i);
-        }
+        self.by_order.insert(at, i);
+        self.longest = self.longest.max(name.chars().count());
         i
     }
 
@@ -168,14 +186,17 @@ impl Params {
 
     /// Removes entry `i`; later entries move down one position.
     fn remove(&mut self, i: usize) {
+        let at = self
+            .order_of(&self.entries[i].name)
+            .expect("every entry is ordered");
+        self.by_order.remove(at);
         let entry = self.entries.remove(i);
         self.by_name.remove(&entry.name);
-        unlink(&mut self.by_lower, &entry.name.to_ascii_lowercase(), i);
         for module in &entry.provenance {
             unlink(&mut self.by_module, module, i);
         }
         let positions = (self.by_name.values_mut())
-            .chain(self.by_lower.values_mut().flatten())
+            .chain(self.by_order.iter_mut())
             .chain(self.by_module.values_mut().flatten());
         for p in positions.filter(|p| **p > i) {
             *p -= 1;
@@ -366,10 +387,123 @@ impl ConstraintDb {
     /// the one [`save_to_string`](ConstraintDb::save_to_string) writes
     /// first, so the answer does not depend on insertion order.
     pub fn param_ignore_case(&self, name: &str) -> Option<&ParamEntry> {
-        let lower = name.to_ascii_lowercase();
-        let variants = self.params.by_lower.get(&lower).into_iter().flatten();
-        let entries = variants.map(|&i| &self.params[i]).chain(self.param(&lower));
-        entries.min_by(|a, b| a.name.cmp(&b.name))
+        self.nearest_param(name, 0, true)
+    }
+
+    /// The entry whose name is nearest to `key` within `max_distance`
+    /// edits (Levenshtein distance over chars; with `fold_case`, letters
+    /// differing only in ASCII case match). Among equal distances the
+    /// smallest name in byte order wins, as in
+    /// [`param_ignore_case`](ConstraintDb::param_ignore_case).
+    ///
+    /// The name-ordered index is walked as an implicit trie. Each name
+    /// reuses the dynamic-programming rows of the prefix it shares with
+    /// the previous name and extends them one char at a time, each row
+    /// banded to the `2 * max_distance + 1` cells a match can pass
+    /// through, so no row grows with the key. A row's minimum never
+    /// decreases as the prefix grows, so once it reaches the best
+    /// distance found so far (or passes `max_distance`), no name under
+    /// that prefix can do better, and a search skips them all. Names come
+    /// in byte order, so the first name found at the final distance is
+    /// the smallest.
+    pub fn nearest_param(
+        &self,
+        key: &str,
+        max_distance: usize,
+        fold_case: bool,
+    ) -> Option<&ParamEntry> {
+        let (band, dead) = (2 * max_distance + 1, max_distance + 1);
+        // A key more than `max_distance` chars longer than every name is
+        // too far from all of them, so no key is read past that length.
+        let most = self.params.longest + max_distance;
+        let key: Vec<char> = key.chars().take(most + 1).collect();
+        if key.len() > most {
+            return None;
+        }
+        let key_len = key.len();
+        // Row `j` holds the distances from the current name's first `j`
+        // chars to the key's first `j + t - max_distance` chars, `t` in
+        // `0..band`; cells off the key, or off the band, are `dead`.
+        let mut rows: Vec<usize> = (0..band)
+            .map(|t| match t.checked_sub(max_distance) {
+                Some(i) if i <= key_len => i,
+                _ => dead,
+            })
+            .collect();
+        let order = &self.params.by_order;
+        // The best entry so far, and the distance a better one must beat.
+        let (mut best, mut bound) = (None, dead);
+        // `rows` describes the first `depth` chars of `prev`.
+        let (mut prev, mut depth) = ("", 0);
+        let mut k = 0;
+        while k < order.len() && bound > 0 {
+            let entry = &self.params[order[k]];
+            let name = entry.name.as_str();
+            let shared = prev.chars().zip(name.chars()).take(depth);
+            depth = shared.take_while(|(a, b)| a == b).count();
+            rows.truncate((depth + 1) * band);
+            prev = name;
+            let mut pruned = None;
+            for (at, c) in name.char_indices().skip(depth) {
+                // Row `depth + 1` from row `depth` (which starts at `above`).
+                let (above, mut row_min) = (depth * band, dead);
+                for t in 0..band {
+                    let cell = match (depth + 1 + t).checked_sub(max_distance) {
+                        Some(0) => depth + 1,
+                        Some(i) if i <= key_len => {
+                            let a = key[i - 1];
+                            let same = if fold_case {
+                                a.eq_ignore_ascii_case(&c)
+                            } else {
+                                a == c
+                            };
+                            let mut cell = rows[above + t] + usize::from(!same);
+                            if t + 1 < band {
+                                cell = cell.min(rows[above + t + 1] + 1);
+                            }
+                            if t > 0 {
+                                cell = cell.min(rows[above + band + t - 1] + 1);
+                            }
+                            cell.min(dead)
+                        }
+                        _ => dead,
+                    };
+                    row_min = row_min.min(cell);
+                    rows.push(cell);
+                }
+                depth += 1;
+                if row_min >= bound {
+                    pruned = Some(&name.as_bytes()[..at + c.len_utf8()]);
+                    break;
+                }
+            }
+            k += 1;
+            match pruned {
+                // Skip every name under the prefix: gallop over the ones
+                // after this name, then binary-search the last stride.
+                Some(prefix) => {
+                    let rest = &order[k..];
+                    let under = |&p: &usize| self.params[p].name.as_bytes().starts_with(prefix);
+                    let mut stride = 1;
+                    while stride <= rest.len() && under(&rest[stride - 1]) {
+                        stride *= 2;
+                    }
+                    let (lo, hi) = (stride / 2, stride.min(rest.len()));
+                    k += lo + rest[lo..hi].partition_point(under);
+                }
+                // The whole name is read: its distance is the key's cell.
+                None => {
+                    let t = (key_len + max_distance).checked_sub(depth);
+                    if let Some(distance) = t.filter(|&t| t < band).map(|t| rows[depth * band + t])
+                    {
+                        if distance < bound {
+                            (best, bound) = (Some(entry), distance);
+                        }
+                    }
+                }
+            }
+        }
+        best
     }
 
     /// All known parameter names, in entry order.
@@ -412,9 +546,7 @@ impl ConstraintDb {
         out.push('\n');
         out.push_str(&format!("system {}\n", esc(&self.system)));
         out.push_str(&format!("dialect {}\n", dialect_tag(self.dialect)));
-        let mut order: Vec<usize> = (0..self.params.len()).collect();
-        order.sort_by(|&a, &b| self.params[a].name.cmp(&self.params[b].name));
-        for pi in order {
+        for &pi in &self.params.by_order {
             let p = &self.params[pi];
             out.push_str(&format!("param {}\n", esc(&p.name)));
             let mut rows: Vec<(&Constraint, &str)> = p.with_provenance().collect();

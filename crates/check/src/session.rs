@@ -3,8 +3,9 @@
 //!
 //! A `CheckSession<'db>` *borrows* its [`ConstraintDb`] — constructing one
 //! builds nothing and never clones a constraint, because the database
-//! itself is the parameter index; "check on every edit" costs per-file
-//! work only. It is the single implementation behind
+//! itself is the parameter index (exact-name, name-order and module →
+//! parameters; see [`Params`](crate::Params)); "check on every edit" costs
+//! per-file work only. It is the single implementation behind
 //! [`Workspace::check_text`](crate::Workspace::check_text) and
 //! [`Workspace::check_paths`](crate::Workspace::check_paths).
 //!
@@ -13,10 +14,12 @@
 //! (unit-aware for time and size parameters), numeric- and enumerative-
 //! range membership, control-dependency activation, and cross-parameter
 //! value relationships. Keys not present in the database are reported with
-//! an edit-distance "did you mean" suggestion. Every finding carries a
-//! stable [`DiagCode`], the violated constraint's provenance (module +
-//! function + span, from the v2 database) and, where computable, a
-//! machine-applicable [`Fix`].
+//! a "did you mean" suggestion: a case twin, else the nearest name within
+//! three edits, found by walking the name-order index as a pruned trie
+//! ([`ConstraintDb::nearest_param`]) rather than scoring every name.
+//! Every finding carries a stable [`DiagCode`], the violated constraint's
+//! provenance (module + function + span, from the v2 database) and, where
+//! computable, a machine-applicable [`Fix`].
 //!
 //! # Example
 //!
@@ -303,29 +306,17 @@ impl<'db> CheckSession<'db> {
                     });
             }
         }
-        let cap = MAX_SUGGEST_DISTANCE + 1;
-        let lowered = occ.name.to_ascii_lowercase();
-        let mut best: Option<(usize, &str)> = None;
-        for p in &self.db.params {
-            let dist = if self.case_insensitive_keys {
-                levenshtein(&lowered, &p.name.to_ascii_lowercase(), cap)
-            } else {
-                levenshtein(occ.name, &p.name, cap)
-            };
-            // A tie goes to the smallest name in byte order, the order
-            // `save_to_string` writes: a workspace (first-seen order) and
-            // a loaded database (name order) suggest the same key.
-            let candidate = (dist, p.name.as_str());
-            if dist <= MAX_SUGGEST_DISTANCE && best.is_none_or(|b| candidate < b) {
-                best = Some(candidate);
-            }
-        }
-        if let Some((_, known)) = best {
+        // A tie goes to the smallest name in byte order, the order
+        // `save_to_string` writes: a workspace (first-seen order) and a
+        // loaded database (name order) suggest the same key.
+        let nearest =
+            (self.db).nearest_param(occ.name, MAX_SUGGEST_DISTANCE, self.case_insensitive_keys);
+        if let Some(entry) = nearest {
             d = d
-                .suggest(format!("did you mean \"{known}\"?"))
+                .suggest(format!("did you mean \"{}\"?", entry.name))
                 .with_fix(Fix::RenameKey {
                     from: occ.name.to_string(),
-                    to: known.to_string(),
+                    to: entry.name.clone(),
                 });
         }
         d
@@ -1197,7 +1188,9 @@ fn is_dotted_quad(v: &str) -> bool {
 }
 
 /// Levenshtein distance with an early-exit `cap` (returns `cap` when the
-/// true distance is at least `cap`).
+/// true distance is at least `cap`). Enum-word suggestions score with it;
+/// unknown keys go through [`ConstraintDb::nearest_param`], whose answers
+/// a linear scan with it reproduces.
 pub fn levenshtein(a: &str, b: &str, cap: usize) -> usize {
     let a: Vec<char> = a.chars().collect();
     let b: Vec<char> = b.chars().collect();
@@ -1622,6 +1615,29 @@ mod tests {
         assert_eq!(ds.len(), 1);
         assert_eq!(ds[0].code, DiagCode::UnknownKey);
         assert!(ds[0].suggestion.is_none(), "{:?}", ds[0].suggestion);
+    }
+
+    #[test]
+    fn a_megabyte_key_gets_no_suggestion_from_a_fleet_sized_db() {
+        // 14,336 names shaped like a 2048-module fleet's.
+        let mut db = ConstraintDb::new("Fleet", Dialect::KeyValue);
+        for m in 0..2048 {
+            db.note_params((0..7).map(|p| format!("f{m:04}_p{p}")));
+        }
+        // However it starts, a key a million chars longer than every name
+        // is a million edits from each of them, and the search reads it
+        // no further than the longest name plus three chars.
+        let key = format!("f0123_p4{}", "x".repeat(1 << 20));
+        for insensitive in [false, true] {
+            let session = CheckSession::new(&db).case_insensitive_keys(insensitive);
+            let ds = session.check_text(&format!("{key} = 1\n"));
+            assert_eq!(ds.len(), 1);
+            assert_eq!(ds[0].code, DiagCode::UnknownKey);
+            assert_eq!((&ds[0].suggestion, &ds[0].fix), (&None, &None));
+        }
+        // Three edits away is still a suggestion.
+        let near = db.nearest_param("f0123_p4xxx", MAX_SUGGEST_DISTANCE, false);
+        assert_eq!(near.map(|p| p.name.as_str()), Some("f0123_p4"));
     }
 
     #[test]

@@ -62,7 +62,7 @@ use spex_core::infer::{InferScope, PassCache, PassCounts, Spex, SpexAnalysis};
 use spex_core::Annotation;
 use spex_ir::Module;
 use spex_react::{ReactionClass, ReactionFinding};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
@@ -138,6 +138,26 @@ fn close_over_calls(
         }
     }
     closed
+}
+
+/// Moves one module's share of the mapping counts from the parameters its
+/// `old` analysis mapped to those its `new` one maps; a count that drops
+/// to zero is removed, so `mapped` holds exactly the mapped parameters.
+fn recount_mapped(
+    mapped: &mut HashMap<String, usize>,
+    old: &BTreeMap<String, BTreeSet<String>>,
+    new: &BTreeMap<String, BTreeSet<String>>,
+) {
+    for param in new.keys() {
+        *mapped.entry(param.clone()).or_default() += 1;
+    }
+    for param in old.keys() {
+        let count = mapped.get_mut(param).expect("counted when mapped");
+        *count -= 1;
+        if *count == 0 {
+            mapped.remove(param);
+        }
+    }
 }
 
 /// A failure while feeding sources into the workspace.
@@ -228,6 +248,9 @@ pub struct Workspace {
     /// Parameter names declared legal without inference (option tables
     /// parsed elsewhere, documentation imports, ...).
     noted: BTreeSet<String>,
+    /// Parameter → how many modules' last analysis mapped it (holds the
+    /// parameter in their `touched`), so the orphan test is one lookup.
+    mapped: HashMap<String, usize>,
     db: ConstraintDb,
     /// The telemetry sink, when observability is enabled — see
     /// [`enable_telemetry`](Workspace::enable_telemetry).
@@ -249,6 +272,7 @@ impl Workspace {
             env: None,
             modules: BTreeMap::new(),
             noted: BTreeSet::new(),
+            mapped: HashMap::new(),
             telemetry: None,
         }
     }
@@ -507,6 +531,7 @@ impl Workspace {
             .modules
             .remove(name)
             .ok_or_else(|| WorkspaceError::UnknownModule(name.to_string()))?;
+        recount_mapped(&mut self.mapped, &entry.touched, &BTreeMap::new());
         let mut params: BTreeSet<String> = entry.touched.keys().cloned().collect();
         params.extend(self.db.params_from_source(name));
         for param in &params {
@@ -520,7 +545,7 @@ impl Workspace {
     /// explicitly noted, and is not mapped by any module.
     fn drop_param_if_orphaned(&mut self, param: &str) {
         let claimed = self.noted.contains(param)
-            || self.modules.values().any(|m| m.touched.contains_key(param))
+            || self.mapped.contains_key(param)
             || self
                 .db
                 .param(param)
@@ -724,6 +749,7 @@ impl Workspace {
                 spex_obs::counter("react.cache.hits", react_hits);
             }
             let entry = self.modules.get_mut(&name).expect("still present");
+            recount_mapped(&mut self.mapped, &entry.touched, &touched);
             entry.touched = touched;
             entry.callees = callees;
             entry.reactions = reactions;
@@ -973,6 +999,17 @@ mod tests {
             ws.add_module("badann.c", BASE, "{ @NOT = a thing }"),
             Err(WorkspaceError::Annotations { .. })
         ));
+    }
+
+    #[test]
+    fn annotation_text_cut_inside_a_char_is_an_error_not_a_panic() {
+        let mut ws = ws();
+        let anns = format!("{}é", "x".repeat(29));
+        assert!(matches!(
+            ws.add_module("other.c", BASE, &anns),
+            Err(WorkspaceError::Annotations { .. })
+        ));
+        assert_eq!(ws.modules(), vec!["main.c"]);
     }
 
     #[test]

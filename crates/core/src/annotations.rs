@@ -240,8 +240,14 @@ fn parse_varref(s: &str) -> Result<VarRef, String> {
     }
 }
 
+/// The first 30 bytes of `s` for an error message, cut back to a char
+/// boundary.
 fn head(s: &str) -> &str {
-    &s[..s.len().min(30)]
+    let mut end = s.len().min(30);
+    while !s.is_char_boundary(end) {
+        end -= 1;
+    }
+    &s[..end]
 }
 
 #[cfg(test)]
@@ -336,6 +342,15 @@ mod tests {
         assert!(Annotation::parse("{ @STRUCT = t\n @PAR = [a, 1]\n @VAR = [b, 2] }").is_err());
         assert!(Annotation::parse("{ @GETTER = g\n @PAR = one }").is_err());
         assert!(Annotation::parse("{ @WHAT = x }").is_err());
+    }
+
+    #[test]
+    fn error_context_is_cut_at_a_char_boundary() {
+        // Byte 30 falls inside the two-byte `é`: the message's context
+        // must stop before it instead of slicing the char.
+        let text = format!("{}é and no block", "x".repeat(29));
+        let err = Annotation::parse(&text).unwrap_err();
+        assert_eq!(err, format!("expected `{{` near: {}", "x".repeat(29)));
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! exercised over a few hundred pseudo-random inputs from a fixed seed,
 //! which keeps failures reproducible without an external shrinker.
 
-use spex::check::{CheckSession, ConstraintDb};
+use spex::check::session::levenshtein;
+use spex::check::{CheckSession, ConstraintDb, DiagCode, Fix};
 use spex::conf::{ConfFile, Dialect};
 use spex::core::constraint::{BasicType, Constraint, ConstraintKind, NumericRange, RangeSegment};
 use spex::core::CmpOp;
@@ -461,4 +462,167 @@ fn db_indexes_match_a_linear_scan() {
             );
         }
     }
+}
+
+/// Shared prefixes long enough that the suggestion walk reuses many rows
+/// and prunes deep inside a prefix.
+const SUGGEST_PREFIXES: &[&str] = &["listener_thread", "listener_", "log_level", "l", ""];
+
+/// Name and edit characters: letters in both cases, a digit, `_` and one
+/// multi-byte char (edit distance counts chars, not bytes).
+const SUGGEST_CHARS: &[char] = &['a', 'b', 'e', 's', 'A', 'B', 'E', 'S', '1', '_', 'é'];
+
+/// A name under one of the shared prefixes, its letters' case flipped at
+/// random: `[prefix][chars]{0,5}`, never empty.
+fn gen_suggest_name(g: &mut Gen) -> String {
+    let prefix = pick_str(g, SUGGEST_PREFIXES);
+    let tail_len = g.usize(usize::from(prefix.is_empty()), 6);
+    let name = format!("{prefix}{}", g.string(SUGGEST_CHARS, tail_len));
+    name.chars()
+        .map(|c| match g.usize(0, 8) {
+            0 => c.to_ascii_uppercase(),
+            _ => c,
+        })
+        .collect()
+}
+
+/// `name` after `edits` random char insertions, deletions and
+/// substitutions (so at most `edits` away from it).
+fn gen_typo(g: &mut Gen, name: &str, edits: usize) -> String {
+    let mut chars: Vec<char> = name.chars().collect();
+    for _ in 0..edits {
+        let at = g.usize(0, chars.len() + 1);
+        match g.usize(0, 3) {
+            0 => chars.insert(at, g.pick(SUGGEST_CHARS)),
+            1 if at < chars.len() => {
+                chars.remove(at);
+            }
+            _ if at < chars.len() => chars[at] = g.pick(SUGGEST_CHARS),
+            _ => chars.push(g.pick(SUGGEST_CHARS)),
+        }
+    }
+    chars.into_iter().collect()
+}
+
+/// The reference answer: the (distance, name) minimum of a linear
+/// `levenshtein` scan over every name, within `max` edits.
+fn scan_nearest(db: &ConstraintDb, key: &str, max: usize, fold: bool) -> Option<String> {
+    let fold_str = |s: &str| {
+        if fold {
+            s.to_ascii_lowercase()
+        } else {
+            s.to_string()
+        }
+    };
+    (db.params.iter())
+        .map(|p| {
+            (
+                levenshtein(&fold_str(key), &fold_str(&p.name), max + 1),
+                &p.name,
+            )
+        })
+        .filter(|&(distance, _)| distance <= max)
+        .min()
+        .map(|(_, name)| name.clone())
+}
+
+/// After any sequence of mutations, the name-order trie walk behind
+/// `param_ignore_case`, `nearest_param` and the session's unknown-key
+/// suggestion and rename fix answers exactly what a linear scan does.
+#[test]
+fn suggestion_index_matches_a_linear_scan() {
+    let mut g = Gen::new(0x5e);
+    let mut steps = 0;
+    for _ in 0..CASES {
+        let mut db = ConstraintDb::new("S", Dialect::KeyValue);
+        let mut names: Vec<String> = Vec::new();
+        for _ in 0..g.usize(1, 20) {
+            let name = match names.len() {
+                0 => gen_suggest_name(&mut g),
+                n => match g.usize(0, 3) {
+                    0 => names[g.usize(0, n)].clone(),
+                    _ => gen_suggest_name(&mut g),
+                },
+            };
+            match g.usize(0, 6) {
+                0 | 1 => db.note_param(&name),
+                2 => {
+                    db.remove_param(&name);
+                }
+                3 => {
+                    let mut other = ConstraintDb::new("S", Dialect::KeyValue);
+                    for _ in 0..g.usize(1, 6) {
+                        let theirs = gen_suggest_name(&mut g);
+                        other.add_from(gen_db_constraint(&mut g, &theirs), "m.c");
+                    }
+                    db.merge(&other).unwrap();
+                }
+                4 => db.canonicalize(),
+                _ => db.add_from(gen_db_constraint(&mut g, &name), "m.c"),
+            }
+            names.push(name);
+            steps += 1;
+
+            for _ in 0..2 {
+                let seed = match db.params.len() {
+                    0 => gen_suggest_name(&mut g),
+                    n => db.params[g.usize(0, n)].name.clone(),
+                };
+                let edits = g.usize(0, 6);
+                let key = gen_typo(&mut g, &seed, edits);
+                let folded = scan_nearest(&db, &key, 0, true);
+                let found = db.param_ignore_case(&key).map(|p| p.name.clone());
+                assert_eq!(found, folded, "param_ignore_case({key:?})");
+                for max in 0..=5 {
+                    for fold in [false, true] {
+                        let found = db.nearest_param(&key, max, fold).map(|p| p.name.clone());
+                        let want = scan_nearest(&db, &key, max, fold);
+                        assert_eq!(found, want, "nearest_param({key:?}, {max}, {fold})");
+                    }
+                }
+                if key.is_empty() {
+                    continue;
+                }
+                for insensitive in [false, true] {
+                    let session = CheckSession::new(&db).case_insensitive_keys(insensitive);
+                    let unknown: Vec<_> = (session.check_text(&format!("{key} = 1\n")))
+                        .into_iter()
+                        .filter(|d| d.code == DiagCode::UnknownKey)
+                        .collect();
+                    let known = match insensitive {
+                        false => db.param(&key).is_some(),
+                        true => folded.is_some(),
+                    };
+                    if known {
+                        assert!(unknown.is_empty(), "{key:?} is known");
+                        continue;
+                    }
+                    let want = match (&folded, insensitive) {
+                        (Some(twin), false) => Some((
+                            format!(
+                                "parameter names are case-sensitive here; did you mean \"{twin}\"?"
+                            ),
+                            twin.clone(),
+                        )),
+                        _ => scan_nearest(&db, &key, 3, insensitive)
+                            .map(|near| (format!("did you mean \"{near}\"?"), near)),
+                    };
+                    let (message, fix) = match want {
+                        Some((message, to)) => {
+                            let from = key.clone();
+                            (Some(message), Some(Fix::RenameKey { from, to }))
+                        }
+                        None => (None, None),
+                    };
+                    assert_eq!(unknown.len(), 1, "{key:?}");
+                    assert_eq!(
+                        (&unknown[0].suggestion, &unknown[0].fix),
+                        (&message, &fix),
+                        "unknown key {key:?} (insensitive: {insensitive})"
+                    );
+                }
+            }
+        }
+    }
+    assert!(steps >= 200, "{steps} oracle steps");
 }

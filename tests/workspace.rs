@@ -345,6 +345,28 @@ fn from_db_then_remove_module_purges_provenance() {
     assert!(resumed.db().param("threads").is_none());
 }
 
+/// A parameter two modules map survives removing either one of them and
+/// goes with the second; what is left equals a fresh analysis of the
+/// remaining module.
+#[test]
+fn parameter_mapped_by_two_modules_goes_with_the_second() {
+    let mut ws = workspace_over(BASE);
+    ws.add_module("net.c", NET, ANN).unwrap();
+    ws.reanalyze();
+
+    ws.remove_module("main.c").unwrap();
+    assert!(ws.db().param("threads").is_some(), "net.c still maps it");
+    assert!(ws.db().param("nap").is_none(), "only main.c mapped it");
+    let mut net_only = Workspace::new("Test", Dialect::KeyValue);
+    net_only.add_module("net.c", NET, ANN).unwrap();
+    net_only.reanalyze();
+    assert_eq!(ws.db().save_to_string(), net_only.db().save_to_string());
+
+    ws.remove_module("net.c").unwrap();
+    assert!(ws.db().param("threads").is_none(), "no module maps it");
+    assert_eq!(ws.db().params.len(), 0);
+}
+
 /// Sharded analysis: two workspaces analyzing different modules of the
 /// same system combine via `merge`, keeping per-shard provenance.
 #[test]
