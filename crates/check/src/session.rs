@@ -93,7 +93,6 @@ pub struct CheckSession<'db> {
     db: &'db ConstraintDb,
     env: Option<&'db (dyn Environment + Sync)>,
     threads: usize,
-    case_insensitive_keys: bool,
     recorder: Option<Arc<spex_obs::Recorder>>,
 }
 
@@ -113,7 +112,6 @@ impl<'db> CheckSession<'db> {
             threads: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
-            case_insensitive_keys: false,
             recorder: None,
         }
     }
@@ -140,26 +138,9 @@ impl<'db> CheckSession<'db> {
         self
     }
 
-    /// Treats parameter names as case-insensitive: a key differing from a
-    /// known parameter only by letter case is checked against that
-    /// parameter instead of being flagged unknown, and did-you-mean
-    /// suggestions compare case-insensitively. Off by default (most
-    /// subject systems match keys exactly; see the paper's Figure 1).
-    pub fn case_insensitive_keys(mut self, enabled: bool) -> CheckSession<'db> {
-        self.case_insensitive_keys = enabled;
-        self
-    }
-
     /// The borrowed database.
     pub fn db(&self) -> &'db ConstraintDb {
         self.db
-    }
-
-    fn entry(&self, name: &str) -> Option<&'db ParamEntry> {
-        match self.db.param(name) {
-            None if self.case_insensitive_keys => self.db.param_ignore_case(name),
-            found => found,
-        }
     }
 
     // -- Single-file checking -------------------------------------------
@@ -196,7 +177,7 @@ impl<'db> CheckSession<'db> {
 
         let mut out = Vec::new();
         for occ in &occurrences {
-            match self.entry(occ.name) {
+            match self.db.param(occ.name) {
                 Some(entry) => self.check_setting(entry, occ, &occurrences, &mut out),
                 None => out.push(self.unknown_key(occ)),
             }
@@ -291,27 +272,21 @@ impl<'db> CheckSession<'db> {
             DiagCode::UnknownKey,
         )
         .at_line(occ.line);
-        // A case twin is only meaningful when keys are case-*sensitive*
-        // (in insensitive mode the lookup would have matched it already).
-        if !self.case_insensitive_keys {
-            if let Some(entry) = self.db.param_ignore_case(occ.name) {
-                return d
-                    .suggest(format!(
-                        "parameter names are case-sensitive here; did you mean \"{}\"?",
-                        entry.name
-                    ))
-                    .with_fix(Fix::RenameKey {
-                        from: occ.name.to_string(),
-                        to: entry.name.clone(),
-                    });
-            }
+        if let Some(entry) = self.db.param_ignore_case(occ.name) {
+            return d
+                .suggest(format!(
+                    "parameter names are case-sensitive here; did you mean \"{}\"?",
+                    entry.name
+                ))
+                .with_fix(Fix::RenameKey {
+                    from: occ.name.to_string(),
+                    to: entry.name.clone(),
+                });
         }
         // A tie goes to the smallest name in byte order, the order
         // `save_to_string` writes: a workspace (first-seen order) and a
         // loaded database (name order) suggest the same key.
-        let nearest =
-            (self.db).nearest_param(occ.name, MAX_SUGGEST_DISTANCE, self.case_insensitive_keys);
-        if let Some(entry) = nearest {
+        if let Some(entry) = self.db.nearest_param(occ.name, MAX_SUGGEST_DISTANCE, false) {
             d = d
                 .suggest(format!("did you mean \"{}\"?", entry.name))
                 .with_fix(Fix::RenameKey {
@@ -724,7 +699,7 @@ impl<'db> CheckSession<'db> {
     /// value checks clean; otherwise the diagnostic keeps its prose
     /// suggestion and the user decides.
     fn fix_value_is_clean(&self, name: &str, value: i64) -> bool {
-        self.entry(name).is_none_or(|e| {
+        self.db.param(name).is_none_or(|e| {
             e.constraints.iter().all(|c| match &c.kind {
                 ConstraintKind::Range(r) => r.is_valid(value),
                 _ => true,
@@ -1003,7 +978,7 @@ fn kind_timing_metric(kind: &ConstraintKind) -> &'static str {
 // -- Value parsing helpers ---------------------------------------------
 
 /// Parses a plain decimal integer (optional sign, digits only).
-pub fn parse_plain_int(v: &str) -> Option<i64> {
+fn parse_plain_int(v: &str) -> Option<i64> {
     let t = v.trim();
     if t.is_empty() {
         return None;
@@ -1013,7 +988,7 @@ pub fn parse_plain_int(v: &str) -> Option<i64> {
 
 /// Boolean words as the subject systems' shared on/off helpers accept
 /// them.
-pub fn parse_bool_word(v: &str) -> Option<bool> {
+fn parse_bool_word(v: &str) -> Option<bool> {
     match v.trim().to_ascii_lowercase().as_str() {
         "on" | "true" | "yes" | "1" => Some(true),
         "off" | "false" | "no" | "0" => Some(false),
@@ -1129,7 +1104,7 @@ fn split_number_suffix(v: &str) -> Option<(Decimal, &str)> {
 /// Returns `None` when the value is not a decimal number followed by a
 /// recognised time/size unit suffix (matched case-insensitively where
 /// unambiguous — see [`Fix`]-emitting checks for the conversion rules).
-pub fn split_unit_suffix(v: &str) -> Option<(f64, &str)> {
+fn split_unit_suffix(v: &str) -> Option<(f64, &str)> {
     let (num, suffix) = split_number_suffix(v)?;
     suffix_kind(suffix)?;
     Some((num.as_f64(), suffix))
@@ -1582,35 +1557,9 @@ mod tests {
     }
 
     #[test]
-    fn case_insensitive_mode_matches_keys_instead_of_flagging() {
-        let db = db();
-        let session = CheckSession::new(&db).case_insensitive_keys(true);
-        // Wrong case is not unknown: the entry's constraints apply.
-        assert!(session.check_text("Threads = 8\n").is_empty());
-        let ds = session.check_text("THREADS = 64\n");
-        assert_eq!(ds.len(), 1);
-        assert_eq!(ds[0].code, DiagCode::Range, "checked, not unknown");
-        // A genuine typo still gets a did-you-mean, compared without case.
-        let ds = session.check_text("THREDS = 8\n");
-        assert_eq!(ds.len(), 1);
-        assert_eq!(ds[0].code, DiagCode::UnknownKey);
-        assert_eq!(
-            ds[0].suggestion.as_deref(),
-            Some("did you mean \"threads\"?")
-        );
-        // And never claims names are case-sensitive (they are not here).
-        assert!(!ds[0]
-            .suggestion
-            .as_deref()
-            .unwrap()
-            .contains("case-sensitive"));
-    }
-
-    #[test]
     fn case_sensitive_mode_still_distance_matches_exactly() {
-        // `THREDS` vs `threads` is distance 6 case-sensitively: no
-        // suggestion may claim it is close (the old behaviour matched
-        // case-insensitively regardless of the setting).
+        // `THREDS` vs `threads` is distance 6, and did-you-mean compares
+        // case-sensitively: no suggestion may claim it is close.
         let ds = check("THREDS = 8\n");
         assert_eq!(ds.len(), 1);
         assert_eq!(ds[0].code, DiagCode::UnknownKey);
@@ -1628,13 +1577,10 @@ mod tests {
         // is a million edits from each of them, and the search reads it
         // no further than the longest name plus three chars.
         let key = format!("f0123_p4{}", "x".repeat(1 << 20));
-        for insensitive in [false, true] {
-            let session = CheckSession::new(&db).case_insensitive_keys(insensitive);
-            let ds = session.check_text(&format!("{key} = 1\n"));
-            assert_eq!(ds.len(), 1);
-            assert_eq!(ds[0].code, DiagCode::UnknownKey);
-            assert_eq!((&ds[0].suggestion, &ds[0].fix), (&None, &None));
-        }
+        let ds = CheckSession::new(&db).check_text(&format!("{key} = 1\n"));
+        assert_eq!(ds.len(), 1);
+        assert_eq!(ds[0].code, DiagCode::UnknownKey);
+        assert_eq!((&ds[0].suggestion, &ds[0].fix), (&None, &None));
         // Three edits away is still a suggestion.
         let near = db.nearest_param("f0123_p4xxx", MAX_SUGGEST_DISTANCE, false);
         assert_eq!(near.map(|p| p.name.as_str()), Some("f0123_p4"));

@@ -10,11 +10,11 @@
 //! * each module's functions are **fingerprinted** over their lowered IR,
 //!   so [`Workspace::update_module`] knows exactly which bodies changed
 //!   (whitespace and comment edits dirty nothing);
-//! * [`Workspace::reanalyze`] re-runs the five inference passes only for
-//!   parameters whose data flow touches a dirty function, and merges the
-//!   fresh constraints into the owned [`ConstraintDb`] by provenance —
-//!   work is proportional to the change, and the result is identical to a
-//!   full re-analysis;
+//! * [`Workspace::reanalyze`] tells the core which functions changed
+//!   ([`Spex::analyze_scoped`] alone decides which parameters' five
+//!   inference passes that re-runs), and merges the fresh constraints
+//!   into the owned [`ConstraintDb`] by provenance — work is proportional
+//!   to the change, and the result is identical to a full re-analysis;
 //! * [`Workspace::session`] hands out a borrowed [`CheckSession`] over
 //!   the owned database, which is its own parameter index: a session
 //!   builds nothing, and checking never copies a constraint;
@@ -58,7 +58,7 @@ use spex_core::apispec::ApiSpec;
 use spex_core::fingerprint::{
     diff_fingerprints, function_fingerprints, header_fingerprint, FingerprintDiff,
 };
-use spex_core::infer::{InferScope, PassCache, PassCounts, Spex, SpexAnalysis};
+use spex_core::infer::{Incremental, PassCache, PassCounts, Spex, SpexAnalysis};
 use spex_core::Annotation;
 use spex_ir::Module;
 use spex_react::{ReactionClass, ReactionFinding};
@@ -107,37 +107,13 @@ struct SourceModule {
     header_fp: u64,
     /// What changed since the last analysis.
     dirty: Dirty,
-    /// From the last analysis: each parameter's touched-function names
-    /// (used to find parameters whose old slice reached a now-removed
-    /// function, and to garbage-collect parameters that un-mapped).
-    touched: BTreeMap<String, BTreeSet<String>>,
-    /// From the last analysis: direct caller → callee function names.
-    /// Scoped re-analysis closes the dirty set over these *old* edges —
-    /// an edit that removes a call still dirties the formerly reached
-    /// callees (whose inherited guards may have vanished with the call),
-    /// while the core closes over the *new* edges symmetrically.
-    callees: BTreeMap<String, BTreeSet<String>>,
+    /// From the last analysis: the parameters it mapped (used to
+    /// garbage-collect parameters that un-mapped).
+    touched: BTreeSet<String>,
     /// From the last analysis: each parameter's static reaction verdict.
     /// Stale slices keep their cached finding; only dirty-slice
     /// parameters are re-classified.
     reactions: BTreeMap<String, ReactionFinding>,
-}
-
-/// Transitive closure of `names` over a caller → callees edge map.
-fn close_over_calls(
-    edges: &BTreeMap<String, BTreeSet<String>>,
-    names: &BTreeSet<String>,
-) -> BTreeSet<String> {
-    let mut closed = names.clone();
-    let mut work: Vec<String> = closed.iter().cloned().collect();
-    while let Some(f) = work.pop() {
-        for callee in edges.get(&f).into_iter().flatten() {
-            if closed.insert(callee.clone()) {
-                work.push(callee.clone());
-            }
-        }
-    }
-    closed
 }
 
 /// Moves one module's share of the mapping counts from the parameters its
@@ -145,13 +121,13 @@ fn close_over_calls(
 /// to zero is removed, so `mapped` holds exactly the mapped parameters.
 fn recount_mapped(
     mapped: &mut HashMap<String, usize>,
-    old: &BTreeMap<String, BTreeSet<String>>,
-    new: &BTreeMap<String, BTreeSet<String>>,
+    old: &BTreeSet<String>,
+    new: &BTreeSet<String>,
 ) {
-    for param in new.keys() {
+    for param in new {
         *mapped.entry(param.clone()).or_default() += 1;
     }
-    for param in old.keys() {
+    for param in old {
         let count = mapped.get_mut(param).expect("counted when mapped");
         *count -= 1;
         if *count == 0 {
@@ -448,8 +424,7 @@ impl Workspace {
                 fn_fps,
                 header_fp,
                 dirty: Dirty::All,
-                touched: BTreeMap::new(),
-                callees: BTreeMap::new(),
+                touched: BTreeSet::new(),
                 reactions: BTreeMap::new(),
             },
         );
@@ -531,8 +506,8 @@ impl Workspace {
             .modules
             .remove(name)
             .ok_or_else(|| WorkspaceError::UnknownModule(name.to_string()))?;
-        recount_mapped(&mut self.mapped, &entry.touched, &BTreeMap::new());
-        let mut params: BTreeSet<String> = entry.touched.keys().cloned().collect();
+        recount_mapped(&mut self.mapped, &entry.touched, &BTreeSet::new());
+        let mut params = entry.touched;
         params.extend(self.db.params_from_source(name));
         for param in &params {
             self.db.remove_source_param(name, param);
@@ -557,9 +532,10 @@ impl Workspace {
 
     /// Re-infers constraints for everything dirty and folds the results
     /// into the database. Work is proportional to the change, at two
-    /// granularities: parameters whose data flow does not touch any dirty
-    /// function keep their persisted constraints untouched and their
-    /// inference passes do not run, and the expensive intermediate
+    /// granularities: parameters the edit cannot affect (the core's
+    /// parameter-scope rule, see [`Spex::analyze_scoped`]) keep their
+    /// persisted constraints untouched and their inference passes do not
+    /// run, and the expensive intermediate
     /// artifacts — SSA preparation, mapping extraction, per-parameter
     /// taint slices — are served from a fingerprint-keyed [`PassCache`]
     /// whenever the edit provably cannot affect them (see
@@ -580,60 +556,29 @@ impl Workspace {
             module: Arc<Module>,
             anns: Vec<Annotation>,
             cache: Mutex<PassCache>,
-            scope: Option<InferScope>,
-            dirty_fns: Option<BTreeSet<String>>,
+            /// The changed functions, or `None` when everything changed.
+            dirty: Option<BTreeSet<String>>,
         }
 
         // Phase 1 (serial, module-name order): snapshot every dirty
-        // module's inputs and change scope.
-        let names: Vec<String> = self.modules.keys().cloned().collect();
+        // module's inputs and what changed. The core decides which
+        // parameters that change re-infers.
         let mut jobs: Vec<Job> = Vec::new();
-        for name in names {
-            let entry = self.modules.get_mut(&name).expect("listed above");
-            let (scope, dirty_fns) = match &entry.dirty {
+        for (name, entry) in &mut self.modules {
+            let dirty = match std::mem::replace(&mut entry.dirty, Dirty::Clean) {
                 Dirty::Clean => continue,
-                Dirty::All => {
-                    // Header or annotation change: every cached artifact's
-                    // id space is suspect.
-                    entry.cache.clear();
-                    (None, None)
-                }
-                Dirty::Functions(fns) => {
-                    // Close the dirty names over the *previous* analysis's
-                    // call edges: an edit that removed a call must still
-                    // dirty the callees it used to reach (their inherited
-                    // guards may have vanished with the call). The core
-                    // closes over the new edges symmetrically.
-                    let closed = close_over_calls(&entry.callees, fns);
-                    // Force parameters whose *previous* slice reached any
-                    // of those functions (possibly removed ones): their
-                    // fresh slice may no longer touch them, but their
-                    // constraints must still be recomputed.
-                    let forced: Vec<&String> = entry
-                        .touched
-                        .iter()
-                        .filter(|(_, t)| !t.is_disjoint(&closed))
-                        .map(|(p, _)| p)
-                        .collect();
-                    (
-                        Some(InferScope::functions(closed.iter().cloned()).with_params(forced)),
-                        // The raw (unclosed) dirty set keys the slice
-                        // cache: a changed caller invalidates only slices
-                        // it can actually reach.
-                        Some(fns.clone()),
-                    )
-                }
+                Dirty::All => None,
+                Dirty::Functions(fns) => Some(fns),
             };
-            report.modules_analyzed += 1;
             jobs.push(Job {
                 name: name.clone(),
                 module: Arc::clone(&entry.module),
                 anns: entry.anns.clone(),
                 cache: Mutex::new(std::mem::take(&mut entry.cache)),
-                scope,
-                dirty_fns,
+                dirty,
             });
         }
+        report.modules_analyzed = jobs.len();
 
         // Phase 2: analyze. With several dirty modules the pool fans out at
         // module granularity and each job runs its parameter passes inline
@@ -644,15 +589,12 @@ impl Workspace {
         let analyze_job = |job: &Job, threads: usize| {
             let _module_span = spex_obs::span!("workspace.module", module = job.name);
             let mut cache = job.cache.lock().expect("job cache lock");
-            Spex::analyze_cached_threaded(
-                &job.module,
-                &job.anns,
-                spec.clone(),
-                job.scope.as_ref(),
-                job.dirty_fns.as_ref(),
-                &mut cache,
+            let incremental = Incremental {
+                cache: &mut cache,
+                dirty: job.dirty.as_ref(),
                 threads,
-            )
+            };
+            Spex::analyze_scoped(&job.module, &job.anns, spec.clone(), Some(incremental))
         };
         let analyses: Vec<SpexAnalysis> = if jobs.len() > 1 {
             crate::pool::run_indexed(self.threads, jobs.len(), self.telemetry.as_ref(), |i| {
@@ -668,33 +610,20 @@ impl Workspace {
         // counters are commutative sums, so they match too.
         for (job, analysis) in jobs.into_iter().zip(analyses) {
             let name = job.name;
-            self.modules.get_mut(&name).expect("still present").cache =
-                job.cache.into_inner().expect("job cache lock");
+            let entry = self.modules.get_mut(&name).expect("still present");
+            entry.cache = job.cache.into_inner().expect("job cache lock");
             report.passes.accumulate(&analysis.passes);
             report.params_total += analysis.reports.len();
 
             // Fold the fresh results into the database, re-classifying
             // the reaction path for every re-inferred slice and keeping
             // the cached verdict for stale ones.
-            let mut old_reactions = std::mem::take(
-                &mut self
-                    .modules
-                    .get_mut(&name)
-                    .expect("still present")
-                    .reactions,
-            );
+            let mut old_reactions = std::mem::take(&mut entry.reactions);
             let mut react_hits = 0u64;
             let mut reactions: BTreeMap<String, ReactionFinding> = BTreeMap::new();
-            let mut touched: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
+            let mut touched: BTreeSet<String> = BTreeSet::new();
             for r in &analysis.reports {
-                touched.insert(
-                    r.param.name.clone(),
-                    r.taint
-                        .touched_functions()
-                        .into_iter()
-                        .map(|fid| analysis.am.module.func(fid).name.clone())
-                        .collect(),
-                );
+                touched.insert(r.param.name.clone());
                 self.db.note_param(&r.param.name);
                 if r.stale {
                     if let Some(f) = old_reactions.remove(&r.param.name) {
@@ -719,41 +648,23 @@ impl Workspace {
 
             // Garbage-collect parameters this module no longer maps.
             // "Previously owned" is the union of what the last in-session
-            // analysis touched and what the database credits to this
+            // analysis mapped and what the database credits to this
             // module — the latter matters when resuming from a persisted
             // db, where `touched` starts empty but stale provenance-tagged
             // constraints may exist.
-            let gone: Vec<String> = {
-                let entry = self.modules.get(&name).expect("still present");
-                entry
-                    .touched
-                    .keys()
-                    .cloned()
-                    .chain(self.db.params_from_source(&name))
-                    .filter(|p| !touched.contains_key(p))
-                    .collect()
-            };
-            // Record this analysis's call edges (by name) for the next
-            // scoped run's old-edge closure.
-            let mut callees: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-            for (callee, sites) in &analysis.am.callgraph.callers_of {
-                let callee_name = &analysis.am.module.func(*callee).name;
-                for site in sites {
-                    callees
-                        .entry(analysis.am.module.func(site.caller).name.clone())
-                        .or_default()
-                        .insert(callee_name.clone());
-                }
-            }
+            let gone: Vec<String> = entry
+                .touched
+                .iter()
+                .cloned()
+                .chain(self.db.params_from_source(&name))
+                .filter(|p| !touched.contains(p))
+                .collect();
             if react_hits > 0 {
                 spex_obs::counter("react.cache.hits", react_hits);
             }
-            let entry = self.modules.get_mut(&name).expect("still present");
             recount_mapped(&mut self.mapped, &entry.touched, &touched);
             entry.touched = touched;
-            entry.callees = callees;
             entry.reactions = reactions;
-            entry.dirty = Dirty::Clean;
             for param in gone {
                 report.constraints_removed += self.db.remove_source_param(&name, &param);
                 self.drop_param_if_orphaned(&param);

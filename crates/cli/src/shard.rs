@@ -4,7 +4,7 @@
 //! self-checks the merged result byte-identical against an in-process
 //! single-run over the same modules.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::Command;
 
 use crate::driver::{
@@ -78,94 +78,81 @@ pub fn run(mut args: std::vec::IntoIter<String>) -> CliResult {
     let tmp = std::env::temp_dir().join(format!("spex-shard-{}", std::process::id()));
     std::fs::create_dir_all(&tmp)
         .map_err(|e| CliError(format!("shard dir {}: {e}", tmp.display())))?;
-    let result = drive(
-        &exe, &tmp, &system, dialect, jobs, &parts, &out, self_check, &sources,
-    );
+    // Spawn the workers, wait, merge, persist and self-check; the shard
+    // dir goes away whatever the outcome.
+    let drive = || -> CliResult {
+        let mut children = Vec::with_capacity(parts.len());
+        for (k, part) in parts.iter().enumerate() {
+            let shard_db = tmp.join(format!("shard-{k}.spexdb"));
+            let child = Command::new(&exe)
+                .arg("analyze")
+                .arg("--quiet")
+                .args(["--system", system.as_str()])
+                .args(["--dialect", dialect_tag(dialect)])
+                .args(["--threads", &jobs.to_string()])
+                .arg("--db")
+                .arg(&shard_db)
+                .args(part)
+                .spawn()
+                .map_err(|e| CliError(format!("worker {k}: spawn failed: {e}")))?;
+            children.push((k, shard_db, child));
+        }
+        let mut shards = Vec::with_capacity(children.len());
+        let mut failed = Vec::new();
+        for (k, shard_db, mut child) in children {
+            let status = child
+                .wait()
+                .map_err(|e| CliError(format!("worker {k}: wait failed: {e}")))?;
+            if status.success() {
+                shards.push(shard_db);
+            } else {
+                failed.push(format!("worker {k}: {status}"));
+            }
+        }
+        if !failed.is_empty() {
+            return Err(CliError(failed.join("; ")));
+        }
+
+        let mut merged = ConstraintDb::load(&shards[0])?;
+        let mut report = MergeReport::default();
+        for path in &shards[1..] {
+            let next = ConstraintDb::load(path)?;
+            let r = merged
+                .merge(&next)
+                .map_err(|e| CliError(format!("merge {}: {e}", path.display())))?;
+            report.absorb(r);
+        }
+        let modules: usize = parts.iter().map(Vec::len).sum();
+        println!(
+            "shard: {} worker(s) over {} module(s): {} parameter(s), {} constraint(s)",
+            parts.len(),
+            modules,
+            merged.param_names().count(),
+            merged.constraint_count(),
+        );
+        print!("{}", report.render());
+        merged
+            .save(&out)
+            .map_err(|e| CliError(format!("db {}: {e}", out.display())))?;
+        println!("db: {}", out.display());
+
+        if self_check {
+            let (ws, _) = analyze_sources(&system, dialect, jobs, false, &sources)?;
+            let single = ws.db().save_to_string();
+            let sharded = merged.save_to_string();
+            if single == sharded {
+                println!("self-check: byte-identical ({} bytes)", sharded.len());
+            } else {
+                return Err(CliError(format!(
+                    "self-check FAILED: sharded db ({} bytes) differs from single-process db ({} bytes)",
+                    sharded.len(),
+                    single.len()
+                )));
+            }
+        }
+        Ok(0)
+    };
+    let result = drive();
     let _ = std::fs::remove_dir_all(&tmp);
     result
-}
-
-/// Spawns the workers, waits, merges, persists, self-checks.
-#[allow(clippy::too_many_arguments)]
-fn drive(
-    exe: &Path,
-    tmp: &Path,
-    system: &str,
-    dialect: Dialect,
-    jobs: usize,
-    parts: &[Vec<String>],
-    out: &Path,
-    self_check: bool,
-    sources: &[crate::driver::SourceFile],
-) -> CliResult {
-    let mut children = Vec::with_capacity(parts.len());
-    for (k, part) in parts.iter().enumerate() {
-        let shard_db = tmp.join(format!("shard-{k}.spexdb"));
-        let child = Command::new(exe)
-            .arg("analyze")
-            .arg("--quiet")
-            .args(["--system", system])
-            .args(["--dialect", dialect_tag(dialect)])
-            .args(["--threads", &jobs.to_string()])
-            .arg("--db")
-            .arg(&shard_db)
-            .args(part)
-            .spawn()
-            .map_err(|e| CliError(format!("worker {k}: spawn failed: {e}")))?;
-        children.push((k, shard_db, child));
-    }
-    let mut shards = Vec::with_capacity(children.len());
-    let mut failed = Vec::new();
-    for (k, shard_db, mut child) in children {
-        let status = child
-            .wait()
-            .map_err(|e| CliError(format!("worker {k}: wait failed: {e}")))?;
-        if status.success() {
-            shards.push(shard_db);
-        } else {
-            failed.push(format!("worker {k}: {status}"));
-        }
-    }
-    if !failed.is_empty() {
-        return Err(CliError(failed.join("; ")));
-    }
-
-    let mut merged = ConstraintDb::load(&shards[0])?;
-    let mut report = MergeReport::default();
-    for path in &shards[1..] {
-        let next = ConstraintDb::load(path)?;
-        let r = merged
-            .merge(&next)
-            .map_err(|e| CliError(format!("merge {}: {e}", path.display())))?;
-        report.absorb(r);
-    }
-    let modules: usize = parts.iter().map(Vec::len).sum();
-    println!(
-        "shard: {} worker(s) over {} module(s): {} parameter(s), {} constraint(s)",
-        parts.len(),
-        modules,
-        merged.param_names().count(),
-        merged.constraint_count(),
-    );
-    print!("{}", report.render());
-    merged
-        .save(out)
-        .map_err(|e| CliError(format!("db {}: {e}", out.display())))?;
-    println!("db: {}", out.display());
-
-    if self_check {
-        let (ws, _) = analyze_sources(system, dialect, jobs, false, sources)?;
-        let single = ws.db().save_to_string();
-        let sharded = merged.save_to_string();
-        if single == sharded {
-            println!("self-check: byte-identical ({} bytes)", sharded.len());
-        } else {
-            return Err(CliError(format!(
-                "self-check FAILED: sharded db ({} bytes) differs from single-process db ({} bytes)",
-                sharded.len(),
-                single.len()
-            )));
-        }
-    }
-    Ok(0)
 }

@@ -471,6 +471,42 @@ fn daemon_rejects_malformed_and_unversioned_requests() {
 }
 
 #[test]
+fn daemon_answers_hostile_nesting_and_keeps_serving() {
+    // Source nested far past the parser's limit, then a request nested far
+    // past the JSON reader's: each draws one error reply, and the daemon
+    // answers the next request.
+    let source = format!(
+        "int f() {{ return {}1{}; }}",
+        "(".repeat(10_000),
+        ")".repeat(10_000)
+    );
+    let stream = daemon_session(
+        &["--system", "demo"],
+        &[
+            format!(
+                "{{\"v\":1,\"id\":1,\"op\":\"analyze\",\
+                 \"modules\":[{{\"name\":\"deep.c\",\"source\":\"{source}\"}}]}}"
+            ),
+            format!(
+                "{{\"v\":1,\"id\":2,\"op\":\"status\",\"x\":{}{}}}",
+                "[".repeat(50_000),
+                "]".repeat(50_000)
+            ),
+            "{\"v\":1,\"id\":3,\"op\":\"status\"}".into(),
+        ],
+    );
+    let replies = split_replies(&stream);
+    let ok: Vec<_> = replies.iter().map(|(h, _)| h.get("ok")).collect();
+    let (yes, no) = (Json::Bool(true), Json::Bool(false));
+    assert_eq!(ok, [Some(&no), Some(&no), Some(&yes)]);
+    for (header, _) in &replies[..2] {
+        let error = header.get("error").and_then(Json::as_str).unwrap();
+        assert!(error.contains("nesting deeper than"), "{error}");
+    }
+    assert_eq!(replies[2].0.get("id").and_then(Json::as_f64), Some(3.0));
+}
+
+#[test]
 fn daemon_second_analyze_reinfers_only_dirty_parameters() {
     fn jmod(name: &str, source: &str, annotations: Option<&str>) -> String {
         let mut obj = format!(

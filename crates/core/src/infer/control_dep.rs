@@ -54,7 +54,9 @@ pub fn infer(
         if sites.is_empty() {
             continue;
         }
-        // Tally guards over all usage sites.
+        // Tally guards over all usage sites. A guard is reported at its
+        // earliest site: the sites come in hash order, which differs
+        // between two slices of the same flow.
         let mut tally: HashMap<Guard, (usize, Span)> = HashMap::new();
         for &(f, b, span) in &sites {
             let mut guards: HashSet<Guard> = intra.guards_at(am, f, b).clone();
@@ -67,6 +69,7 @@ pub fn infer(
                 }
                 let e = tally.entry(g).or_insert((0, span));
                 e.0 += 1;
+                e.1 = e.1.min(span);
             }
         }
         for (g, (count, span)) in tally {

@@ -151,37 +151,6 @@ impl PassCounts {
     }
 }
 
-/// Limits a re-analysis to the parameters a code change could affect.
-///
-/// A parameter is *in scope* — and has its five inference passes re-run —
-/// when its fresh taint slice touches any function in `functions`, or when
-/// its name is listed in `params` (used for parameters whose *previous*
-/// slice touched a function that no longer exists). Everything else is
-/// returned as a [`stale`](ParamReport::stale) report with no constraints.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct InferScope {
-    /// Names of functions whose bodies changed (including added ones).
-    pub functions: BTreeSet<String>,
-    /// Parameter names forced into scope regardless of current data flow.
-    pub params: BTreeSet<String>,
-}
-
-impl InferScope {
-    /// A scope over a set of dirty function names.
-    pub fn functions<I: IntoIterator<Item = S>, S: Into<String>>(names: I) -> InferScope {
-        InferScope {
-            functions: names.into_iter().map(Into::into).collect(),
-            params: BTreeSet::new(),
-        }
-    }
-
-    /// Additionally forces parameters into scope by name.
-    pub fn with_params<I: IntoIterator<Item = S>, S: Into<String>>(mut self, names: I) -> Self {
-        self.params.extend(names.into_iter().map(Into::into));
-        self
-    }
-}
-
 /// The full analysis result for one system.
 pub struct SpexAnalysis {
     /// The prepared module (SSA form plus analysis caches), shared with
@@ -223,33 +192,35 @@ impl SpexAnalysis {
 /// CFGs, dominators, use-def chains), the config-mapping extraction
 /// result, and the per-parameter taint slices.
 ///
-/// One cache belongs to one module lineage.
-/// [`Spex::analyze_cached_threaded`] consults it when given the set of
-/// dirty function names and refills it after every run, so a warm
-/// re-analysis after a small edit recomputes only the artifacts the edit
-/// could have touched and reuses the rest by `Arc` bump. Dropping the
-/// cache (or passing `dirty = None`) degrades gracefully to a full
-/// analysis.
+/// One cache belongs to one module lineage. [`Spex::analyze_scoped`]
+/// consults it through an [`Incremental`] that names the dirty functions,
+/// and refills it after every run. A warm re-analysis after a small edit
+/// recomputes only the artifacts the edit could have touched and reuses
+/// the rest by `Arc` bump. The cache also holds what the previous
+/// generation's call edges and slices reached, so the core alone decides
+/// which parameters an edit re-infers. Dropping the cache, or passing
+/// `dirty = None`, degrades gracefully to a full analysis.
 #[derive(Default)]
 pub struct PassCache {
     state: Option<CacheState>,
 }
 
-impl PassCache {
-    /// Forgets everything (e.g. after an annotation or header change the
-    /// caller knows invalidates all artifacts).
-    pub fn clear(&mut self) {
-        self.state = None;
-    }
-
-    /// Whether the cache currently holds a prior analysis generation.
-    pub fn is_warm(&self) -> bool {
-        self.state.is_some()
-    }
+/// A warm analysis of one module lineage (see [`Spex::analyze_scoped`]).
+pub struct Incremental<'a> {
+    /// The lineage's pass cache, consulted and refilled.
+    pub cache: &'a mut PassCache,
+    /// Every function whose lowered IR changed since the cache was last
+    /// filled: changed, added *and* removed ones. `None` means the change
+    /// is unknown or touches the header or annotations, and everything is
+    /// recomputed.
+    pub dirty: Option<&'a BTreeSet<String>>,
+    /// The most scoped workers the per-parameter passes may use.
+    pub threads: usize,
 }
 
 struct CacheState {
-    /// The previous generation's prepared module.
+    /// The previous generation's prepared module. Its call graph holds
+    /// the call edges an edit may have removed.
     am: Arc<AnalyzedModule>,
     /// Fingerprint of the annotations the artifacts were extracted under.
     ann_fp: u64,
@@ -432,49 +403,41 @@ impl Spex {
     }
 
     /// Analyzes a borrowed module with an API registry (the paper
-    /// imported Storage-A's proprietary APIs this way), optionally
-    /// restricted to a change [`InferScope`]. The module is never
+    /// imported Storage-A's proprietary APIs this way). The module is never
     /// deep-cloned: function bodies are promoted to SSA straight off the
     /// reference.
     ///
-    /// With `scope = None` this is the classic full analysis. With a scope,
-    /// mapping extraction and taint tracking still run for every parameter
-    /// (they are needed to decide scope membership), but the five
-    /// constraint-inference passes run only for in-scope parameters; the
-    /// rest come back as [`stale`](ParamReport::stale) reports. Incremental
-    /// callers merge the fresh constraints into a persisted database.
-    pub fn analyze_scoped(
-        module: &Module,
-        anns: &[Annotation],
-        spec: ApiSpec,
-        scope: Option<&InferScope>,
-    ) -> SpexAnalysis {
-        Self::analyze_cached_threaded(
-            module,
-            anns,
-            spec,
-            scope,
-            None,
-            &mut PassCache::default(),
-            1,
-        )
-    }
-
-    /// Like [`analyze_scoped`](Spex::analyze_scoped), but consulting and
-    /// refilling a [`PassCache`] across calls, with the per-parameter
-    /// inference passes fanned across up to `threads` scoped workers (the
-    /// `spex-pool` primitive).
+    /// With `incremental = None` this is the classic full analysis: cold,
+    /// serial and uncached. With an [`Incremental`] whose `dirty` set is
+    /// `Some` and whose cache holds a previous generation with the same
+    /// annotations and a compatible module header (globals, structs, enum
+    /// constants), the prepared module is incrementally rebuilt, each
+    /// annotation's mapping extraction is reused unless a dirty function
+    /// could affect it, and each parameter's taint slice is reused unless
+    /// the edit could reach it — see [`PassCounts`] for the hit/miss
+    /// accounting. Otherwise everything is recomputed and the cache seeded.
     ///
-    /// `dirty` names every function whose lowered IR changed since the
-    /// cache was last filled — changed, added *and* removed ones (the
-    /// fingerprint diff of the workspace). When it is `Some` and the
-    /// module header (globals, structs, enum constants) is unchanged, the
-    /// prepared module is incrementally rebuilt, the mapping extraction is
-    /// reused unless a dirty function could affect it, and each
-    /// parameter's taint slice is reused unless the edit could reach it —
-    /// see [`PassCounts`] for the hit/miss accounting. With `dirty = None`
-    /// (or a cold cache) everything is recomputed and the cache seeded.
+    /// Mapping and taint tracking cover every parameter, but on a warm
+    /// run the five constraint-inference passes re-run only for the
+    /// parameters the edit could affect (the parameter-scope rule in
+    /// `docs/analysis.md`). The dirty functions are closed over the
+    /// previous generation's call edges, since a removed call can take
+    /// away the guards a callee inherited, and then over the new ones,
+    /// since editing a caller changes the guards its callees inherit. A
+    /// parameter re-runs when its slice was recomputed, so it may differ
+    /// from the cached one, even by shrinking away from every dirty
+    /// function; or when its slice touches that closure. A slice served
+    /// from the cache *is* the previous generation's, so this also covers
+    /// every parameter whose previous slice touched the closure.
     ///
+    /// The rest come back as [`stale`](ParamReport::stale) reports, and
+    /// incremental callers keep their persisted constraints.
+    ///
+    /// The per-parameter passes fan across up to `threads` pool workers
+    /// whenever more than one parameter is live. Routing on the *workload*
+    /// rather than the thread count keeps the telemetry count signature
+    /// thread-count-independent: a warm single-dirty-parameter reanalyze
+    /// never touches the pool, a cold run always does, at any `threads`.
     /// The output is **byte-identical to the serial run** at every thread
     /// count: results come back in parameter index order, the pass
     /// counters are derived from the in-scope set rather than loop order,
@@ -482,36 +445,38 @@ impl Spex {
     /// relationships) stay serial — they scan branch sites once for the
     /// whole module and their merge order is what makes
     /// [`SpexAnalysis::reports`] deterministic.
-    #[allow(clippy::too_many_arguments)]
-    pub fn analyze_cached_threaded(
+    pub fn analyze_scoped(
         module: &Module,
         anns: &[Annotation],
         spec: ApiSpec,
-        scope: Option<&InferScope>,
-        dirty: Option<&BTreeSet<String>>,
-        cache: &mut PassCache,
-        threads: usize,
+        incremental: Option<Incremental<'_>>,
     ) -> SpexAnalysis {
+        let mut uncached = PassCache::default();
+        let Incremental {
+            cache,
+            dirty,
+            threads,
+        } = incremental.unwrap_or(Incremental {
+            cache: &mut uncached,
+            dirty: None,
+            threads: 1,
+        });
         let mut passes = PassCounts::default();
         let ann_fp = ann_fingerprint(anns);
 
-        // Reuse the previous generation's per-function state when the id
-        // space is compatible; otherwise run cold.
-        let warm = matches!(
-            (&cache.state, dirty),
-            (Some(state), Some(_))
-                if state.ann_fp == ann_fp && ids_stable(&state.am.module, module)
-        );
-        let am: Arc<AnalyzedModule> = if warm {
-            let state = cache.state.as_ref().expect("warm implies state");
-            let dirty = dirty.expect("warm implies dirty");
-            Arc::new(AnalyzedModule::rebuild(&state.am, module, &|name| {
-                dirty.contains(name)
-            }))
-        } else {
-            cache.state = None;
-            Arc::new(AnalyzedModule::build_ref(module))
-        };
+        // Reuse the previous generation's per-function state when the
+        // caller names the edit and the id space is compatible; otherwise
+        // drop it now and run cold.
+        let old = cache.state.take().filter(|state| {
+            dirty.is_some() && state.ann_fp == ann_fp && ids_stable(&state.am.module, module)
+        });
+        let prev = old.as_ref().zip(dirty);
+        let am = Arc::new(match prev {
+            Some((state, dirty)) => {
+                AnalyzedModule::rebuild(&state.am, module, &|name| dirty.contains(name))
+            }
+            None => AnalyzedModule::build_ref(module),
+        });
 
         // Mapping extraction, cached per annotation: one annotation's
         // cached result stays valid unless a dirty function — in its old
@@ -523,28 +488,20 @@ impl Spex {
             Vec::with_capacity(anns.len());
         for (j, ann) in anns.iter().enumerate() {
             let one = std::slice::from_ref(ann);
-            let cached = if warm {
-                let state = cache.state.as_ref().expect("warm implies state");
-                let dirty = dirty.expect("warm implies dirty");
+            let cached = prev.and_then(|(state, dirty)| {
                 let unaffected = dirty.iter().all(|name| {
-                    let old_ok = match state.am.module.function_by_name(name) {
-                        Some(fid) => !mapping_relevant(&state.am, fid, one),
-                        None => true,
-                    };
-                    let new_ok = match am.module.function_by_name(name) {
-                        Some(fid) => !mapping_relevant(&am, fid, one),
-                        None => true,
-                    };
-                    old_ok && new_ok
+                    [&*state.am, &*am].into_iter().all(|m| {
+                        m.module
+                            .function_by_name(name)
+                            .is_none_or(|fid| !mapping_relevant(m, fid, one))
+                    })
                 });
                 if unaffected {
                     state.ann_mappings.get(j).cloned()
                 } else {
                     None
                 }
-            } else {
-                None
-            };
+            });
             match cached {
                 Some(m) => {
                     passes.mapping_cache_hits += 1;
@@ -558,7 +515,7 @@ impl Spex {
             }
         }
         if anns.is_empty() {
-            if warm {
+            if prev.is_some() {
                 passes.mapping_cache_hits += 1;
             } else {
                 passes.mapping_extractions += 1;
@@ -566,36 +523,34 @@ impl Spex {
         }
         // Any failing annotation empties the whole mapping, exactly as the
         // all-at-once extraction did.
-        let params: Arc<Vec<MappedParam>> = if ann_mappings.iter().any(|r| r.is_err()) {
-            Arc::new(Vec::new())
+        let params: Vec<MappedParam> = if ann_mappings.iter().any(|r| r.is_err()) {
+            Vec::new()
         } else {
-            Arc::new(merge_mappings(ann_mappings.iter().map(|r| {
-                r.as_ref().as_ref().expect("errors filtered above").clone()
-            })))
+            merge_mappings(
+                ann_mappings
+                    .iter()
+                    .map(|r| r.as_ref().as_ref().expect("errors filtered above").clone()),
+            )
         };
 
         // Interprocedural function summaries, SCC-granular: a dirty
         // function invalidates exactly its component plus the components
         // that (transitively) call into it; every other component is
         // reused from the previous generation by clone.
-        let module_summaries: Arc<ModuleSummaries> = {
+        let summaries: Arc<ModuleSummaries> = {
             let _span = spex_obs::span("infer.summary");
-            let prev = if warm {
-                let state = cache.state.as_ref().expect("warm implies state");
-                let dirty = dirty.expect("warm implies dirty");
+            let prev_summaries = prev.map(|(state, dirty)| {
                 let dirty_fns: Vec<bool> = am
                     .module
                     .functions
                     .iter()
                     .map(|f| dirty.contains(&f.name))
                     .collect();
-                Some((Arc::clone(&state.summaries), dirty_fns))
-            } else {
-                None
-            };
+                (state.summaries.as_ref(), dirty_fns)
+            });
             let (s, stats) = ModuleSummaries::compute_incremental(
                 &am,
-                prev.as_ref().map(|(p, d)| (p.as_ref(), d.as_slice())),
+                prev_summaries.as_ref().map(|(p, d)| (*p, d.as_slice())),
             );
             passes.summary_runs += stats.runs;
             passes.summary_cache_hits += stats.hits;
@@ -609,42 +564,30 @@ impl Spex {
         // pointer that used to feed a touched indirect call) shrinks the
         // recomputed slice just as surely as an added one grows it.
         let mut engine: Option<TaintEngine> = None;
-        let summaries: Vec<DirtyFnSummary> = if warm {
-            let state = cache.state.as_ref().expect("warm implies state");
-            dirty
-                .expect("warm implies dirty")
+        let dirty_summaries: Vec<DirtyFnSummary> = match prev {
+            Some((state, dirty)) => dirty
                 .iter()
                 .flat_map(|name| {
-                    let old = state
-                        .am
-                        .module
-                        .function_by_name(name)
-                        .map(|fid| summarize_dirty_fn(&state.am, fid));
-                    let new = am
-                        .module
-                        .function_by_name(name)
-                        .map(|fid| summarize_dirty_fn(&am, fid));
-                    old.into_iter().chain(new)
+                    [&*state.am, &*am].into_iter().filter_map(move |m| {
+                        Some(summarize_dirty_fn(m, m.module.function_by_name(name)?))
+                    })
                 })
-                .collect()
-        } else {
-            Vec::new()
+                .collect(),
+            None => Vec::new(),
         };
         let mut slice_hit = vec![false; params.len()];
         let taints: Vec<Arc<TaintResult>> = params
             .iter()
             .zip(&mut slice_hit)
             .map(|(p, hit)| {
-                if warm {
-                    let state = cache.state.as_ref().expect("warm implies state");
-                    let dirty = dirty.expect("warm implies dirty");
-                    if let Some(cached) = state.slices.get(&p.name) {
-                        if slice_survives_edit(cached, &p.roots, dirty, &summaries) {
-                            passes.taint_cache_hits += 1;
-                            *hit = true;
-                            return Arc::clone(&cached.taint);
-                        }
-                    }
+                let cached = prev.and_then(|(state, dirty)| {
+                    let cached = state.slices.get(&p.name)?;
+                    slice_survives_edit(cached, &p.roots, dirty, &dirty_summaries).then_some(cached)
+                });
+                if let Some(cached) = cached {
+                    passes.taint_cache_hits += 1;
+                    *hit = true;
+                    return Arc::clone(&cached.taint);
                 }
                 passes.taint_runs += 1;
                 let engine = engine.get_or_insert_with(|| TaintEngine::new(&am));
@@ -654,17 +597,39 @@ impl Spex {
             .collect();
         drop(engine);
 
+        // Parameter scope (see above): a cold run infers every parameter.
+        let in_scope: Vec<bool> = match prev {
+            None => vec![true; params.len()],
+            Some((state, dirty)) => {
+                // Close over the old call edges, then the new ones.
+                let mut closed = dirty.clone();
+                closed.extend(
+                    expand_dirty_functions(&state.am, dirty)
+                        .into_iter()
+                        .map(|fid| state.am.module.func(fid).name.clone()),
+                );
+                let reached = expand_dirty_functions(&am, &closed);
+                taints
+                    .iter()
+                    .zip(&slice_hit)
+                    .map(|(t, &hit)| {
+                        !hit || t.touched_functions().iter().any(|f| reached.contains(f))
+                    })
+                    .collect()
+            }
+        };
+
         // Refill the cache for the next generation. A hit slice keeps its
         // bookkeeping entry as-is — its touched functions are unchanged by
         // construction, so re-deriving the summaries would walk the same
         // instructions to the same answer; only recomputed slices are
         // (re)summarized.
-        let mut old_slices = cache.state.take().map(|s| s.slices).unwrap_or_default();
+        let mut old_slices = old.map(|s| s.slices).unwrap_or_default();
         cache.state = Some(CacheState {
             am: Arc::clone(&am),
             ann_fp,
             ann_mappings,
-            summaries: Arc::clone(&module_summaries),
+            summaries: Arc::clone(&summaries),
             slices: params
                 .iter()
                 .zip(&taints)
@@ -682,72 +647,9 @@ impl Spex {
                 .collect(),
         });
 
-        // A slice that missed the cache may differ from its previous
-        // generation — including slices that *shrank*, whose touched set no
-        // longer intersects the dirty functions (say, an edit removed the
-        // only function-pointer wiring a bound-checking callee in). Scope
-        // membership alone would leave such a parameter stale with its
-        // outdated constraints, so every recomputed slice forces its
-        // parameter into scope.
-        let recomputed = dirty
-            .is_some()
-            .then(|| slice_hit.iter().map(|&h| !h).collect());
-
-        Self::infer_from_slices(
-            am,
-            params,
-            taints,
-            module_summaries,
-            spec,
-            scope,
-            recomputed,
-            passes,
-            threads,
-        )
-    }
-
-    /// The five inference passes over prepared slices (shared tail of the
-    /// cached and uncached entry points). `recomputed` marks parameters
-    /// whose slice was not served from the pass cache (cached runs only);
-    /// they are inferred even when outside `scope`.
-    ///
-    /// The per-parameter passes fan across up to `threads` pool workers
-    /// whenever more than one parameter is live. Routing on the *workload*
-    /// rather than the thread count keeps the telemetry count signature
-    /// thread-count-independent: a warm single-dirty-parameter reanalyze
-    /// never touches the pool, a cold run always does, at any `threads`.
-    #[allow(clippy::too_many_arguments)]
-    fn infer_from_slices(
-        am: Arc<AnalyzedModule>,
-        params: Arc<Vec<MappedParam>>,
-        taints: Vec<Arc<TaintResult>>,
-        summaries: Arc<ModuleSummaries>,
-        spec: ApiSpec,
-        scope: Option<&InferScope>,
-        recomputed: Option<Vec<bool>>,
-        mut passes: PassCounts,
-        threads: usize,
-    ) -> SpexAnalysis {
         // Reverse index: tainted value -> parameter indices, for the
         // multi-parameter passes.
         let vindex = build_value_index(&taints);
-
-        let in_scope: Vec<bool> = match scope {
-            None => vec![true; params.len()],
-            Some(s) => {
-                let dirty = expand_dirty_functions(&am, &s.functions);
-                params
-                    .iter()
-                    .zip(taints.iter())
-                    .enumerate()
-                    .map(|(i, (p, t))| {
-                        s.params.contains(&p.name)
-                            || t.touched_functions().iter().any(|fid| dirty.contains(fid))
-                            || recomputed.as_ref().is_some_and(|r| r[i])
-                    })
-                    .collect()
-            }
-        };
 
         // First pass group: the three per-parameter passes plus evidence
         // collection are embarrassingly parallel — each job reads the
@@ -904,11 +806,151 @@ mod tests {
     use super::*;
     use crate::constraint::ConstraintKind;
 
+    fn lower(src: &str) -> Module {
+        spex_ir::lower_program(&spex_lang::parse_program(src).unwrap()).unwrap()
+    }
+
     fn analyze(src: &str, ann: &str) -> SpexAnalysis {
-        let p = spex_lang::parse_program(src).unwrap();
-        let m = spex_ir::lower_program(&p).unwrap();
-        let anns = Annotation::parse(ann).unwrap();
-        Spex::analyze(m, &anns)
+        Spex::analyze(lower(src), &Annotation::parse(ann).unwrap())
+    }
+
+    const ANN: &str = "{ @STRUCT = options\n @PAR = [opt, 1]\n @VAR = [opt, 2] }";
+
+    /// `commit_siblings` is used only in `flush`, which inherits the
+    /// `fsync` guard from its caller `main_loop`.
+    const GUARDED: &str = r#"
+        int fsync_on = 1;
+        int commit_siblings = 5;
+        struct opt { char* name; int* var; };
+        struct opt options[] = {
+            { "fsync", &fsync_on }, { "commit_siblings", &commit_siblings }
+        };
+        void flush() {
+            if (commit_siblings > 0) { sleep(commit_siblings); }
+        }
+        void main_loop() {
+            if (fsync_on) { flush(); }
+        }
+    "#;
+
+    /// Analyzes `before` into a fresh cache, then `after` warm with
+    /// `dirty`, both at `threads`.
+    fn reanalyze(
+        before: &str,
+        after: &str,
+        dirty: Option<&BTreeSet<String>>,
+        threads: usize,
+    ) -> SpexAnalysis {
+        let anns = Annotation::parse(ANN).unwrap();
+        let mut cache = PassCache::default();
+        let mut run = |src: &str, dirty| {
+            let incremental = Incremental {
+                cache: &mut cache,
+                dirty,
+                threads,
+            };
+            Spex::analyze_scoped(&lower(src), &anns, ApiSpec::standard(), Some(incremental))
+        };
+        let cold = run(before, None);
+        assert!(cold.reports.iter().all(|r| !r.stale));
+        run(after, dirty)
+    }
+
+    /// The counts of a warm run over [`GUARDED`]'s two parameters that
+    /// re-infers `inferred` of them, with `[runs, hits]` of taint slices
+    /// and summaries.
+    fn counts(inferred: usize, mapped: bool, taint: [usize; 2], summary: [usize; 2]) -> PassCounts {
+        PassCounts {
+            basic_type: inferred,
+            semantic_type: inferred,
+            range: inferred,
+            control_dep: 1,
+            value_rel: 1,
+            mapping_extractions: usize::from(!mapped),
+            mapping_cache_hits: usize::from(mapped),
+            taint_runs: taint[0],
+            taint_cache_hits: taint[1],
+            summary_runs: summary[0],
+            summary_cache_hits: summary[1],
+            ..PassCounts::default()
+        }
+    }
+
+    #[test]
+    fn scope_rule_reinfers_exactly_what_an_edit_can_change() {
+        // The guarding caller edited: the guard goes, or the call does.
+        let unguarded = GUARDED.replace("if (fsync_on) { flush(); }", "flush();");
+        let removed = GUARDED.replace("{ flush(); }", "{ exit(0); }");
+        // The call routed through a relay, so an edit to `main_loop` opens
+        // no channel into `commit_siblings`' slice, and the slice stays
+        // cached: only the call edges reach it.
+        let relayed = |src: &str| {
+            src.replace("flush();", "sync_all();").replace(
+                "void main_loop()",
+                "void sync_all() { flush(); }\n        void main_loop()",
+            )
+        };
+        let (relay_guarded, relay_unguarded, relay_removed) =
+            (relayed(GUARDED), relayed(&unguarded), relayed(&removed));
+        let flush_edited = GUARDED.replace("commit_siblings > 0", "commit_siblings > 8");
+        let guarded = GUARDED.to_string();
+        let names = |n: &str| -> BTreeSet<String> { [n.to_string()].into() };
+        let (main_loop, flush) = (names("main_loop"), names("flush"));
+        let edit = Some(&main_loop);
+        let cases = [
+            // The edited caller calls into `commit_siblings`' slice, so
+            // both slices are recomputed.
+            (&guarded, &unguarded, edit, counts(2, true, [2, 0], [1, 1])),
+            (&guarded, &removed, edit, counts(2, true, [2, 0], [1, 1])),
+            // The new call edges reach the cached slice once the guard
+            // goes or the call comes, the old ones once the call goes.
+            (
+                &relay_guarded,
+                &relay_unguarded,
+                edit,
+                counts(2, true, [1, 1], [1, 2]),
+            ),
+            (
+                &relay_guarded,
+                &relay_removed,
+                edit,
+                counts(2, true, [1, 1], [1, 2]),
+            ),
+            (
+                &relay_removed,
+                &relay_guarded,
+                edit,
+                counts(2, true, [1, 1], [1, 2]),
+            ),
+            // Editing the callee leaves `fsync`, guarded in the caller,
+            // stale.
+            (
+                &guarded,
+                &flush_edited,
+                Some(&flush),
+                counts(1, true, [1, 1], [2, 0]),
+            ),
+            // Told nothing, a warm cache recomputes everything.
+            (&guarded, &unguarded, None, counts(2, false, [2, 0], [2, 0])),
+        ];
+        for threads in [1, 4] {
+            for (before, after, dirty, passes) in &cases {
+                let warm = reanalyze(before, after, *dirty, threads);
+                let context = format!("{dirty:?} at {threads} threads:{after}");
+                assert_eq!(warm.passes, *passes, "{context}");
+                let stale: Vec<bool> = warm.reports.iter().map(|r| r.stale).collect();
+                assert_eq!(stale, [passes.basic_type == 1, false], "{context}");
+                // Every re-inferred report equals a cold analysis's.
+                let cold = analyze(after, ANN);
+                for (w, c) in warm.reports.iter().zip(&cold.reports) {
+                    assert_eq!(w.param.name, c.param.name);
+                    if !w.stale {
+                        assert_eq!(w.constraints, c.constraints, "{context}");
+                        assert_eq!(format!("{:?}", w.evidence), format!("{:?}", c.evidence));
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -976,6 +1018,21 @@ mod tests {
         let dep = dep.expect("control dependency inferred");
         assert_eq!(dep.controller, "fsync");
         assert!(dep.confidence >= 0.75);
+    }
+
+    #[test]
+    fn control_dependency_sits_at_its_earliest_guarded_use() {
+        // `commit_siblings` has two uses under the inherited guard: the
+        // comparison (line 9, column 33) and the `sleep` call after it.
+        for _ in 0..8 {
+            let a = analyze(GUARDED, ANN);
+            let spans: Vec<_> = a
+                .all_constraints()
+                .filter(|c| matches!(c.kind, ConstraintKind::ControlDep(_)))
+                .map(|c| c.span)
+                .collect();
+            assert_eq!(spans, [spex_lang::Span::new(9, 33)]);
+        }
     }
 
     #[test]

@@ -58,5 +58,5 @@ pub use constraint::{
 pub use fingerprint::{
     diff_fingerprints, function_fingerprints, header_fingerprint, FingerprintDiff,
 };
-pub use infer::{InferScope, ParamReport, PassCache, PassCounts, Spex, SpexAnalysis};
+pub use infer::{Incremental, ParamReport, PassCache, PassCounts, Spex, SpexAnalysis};
 pub use mapping::MappedParam;

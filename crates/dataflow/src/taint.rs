@@ -178,9 +178,7 @@ impl<'a> TaintEngine<'a> {
                     // Store through an unknown pointer: dropped (no alias
                     // analysis).
                 }
-                Some(Instr::Call { dst, callee, args }) => {
-                    self.step_call(f, v, *dst, callee, args, depth, queue, func);
-                }
+                Some(call @ Instr::Call { .. }) => self.step_call(f, v, call, depth, queue),
                 // Loads with a tainted pointer/index, AddrOf, or terminator
                 // uses: no value flow.
                 _ => {}
@@ -203,18 +201,19 @@ impl<'a> TaintEngine<'a> {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Taint flow from `v` through `call`, an [`Instr::Call`] in `f`.
     fn step_call(
         &self,
         f: FuncId,
         v: ValueId,
-        dst: Option<ValueId>,
-        callee: &Callee,
-        args: &[ValueId],
+        call: &Instr,
         depth: u32,
         queue: &mut VecDeque<(Item, u32)>,
-        func: &spex_ir::Function,
     ) {
+        let Instr::Call { dst, callee, args } = call else {
+            return;
+        };
+        let func = &self.am.module.functions[f.index()];
         let arg_positions: Vec<usize> = args
             .iter()
             .enumerate()
@@ -227,7 +226,7 @@ impl<'a> TaintEngine<'a> {
         match callee {
             Callee::Builtin(b) => {
                 if propagates_through(*b) {
-                    if let Some(d) = dst {
+                    if let Some(d) = *dst {
                         queue.push_back((Item::Value(f, d), depth + 1));
                     }
                 }

@@ -1155,3 +1155,99 @@ impl<'a> FuncLowerer<'a> {
         Ok((idx as u32, layout.fields[idx].1.clone()))
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use spex_lang::parse_program;
+    use spex_lang::parser::MAX_NESTING;
+
+    /// Source nested `n` levels deep.
+    type Shape = fn(usize) -> String;
+
+    /// Every way mini-C nests.
+    fn nesting_shapes() -> Vec<(&'static str, Shape)> {
+        fn body(stmts: String) -> String {
+            format!("int g; int f(int x) {{ {stmts} return x; }}")
+        }
+        vec![
+            ("blocks", |n| {
+                body(format!("{}{}", "{".repeat(n), "}".repeat(n)))
+            }),
+            ("ifs", |n| body(format!("{}x = 1;", "if (x) ".repeat(n)))),
+            ("else-ifs", |n| {
+                body(format!(
+                    "{}{{ x = 2; }}",
+                    "if (x) { x = 1; } else ".repeat(n)
+                ))
+            }),
+            ("loops", |n| {
+                body(format!("{}x = 1;", "while (x) ".repeat(n)))
+            }),
+            ("qualifiers", |n| {
+                body(format!("{}int y = 1;", "static ".repeat(n)))
+            }),
+            ("parens", |n| {
+                body(format!("x = {}x{};", "(".repeat(n), ")".repeat(n)))
+            }),
+            ("unary", |n| body(format!("x = {}x;", "- ".repeat(n)))),
+            ("casts", |n| body(format!("x = {}x;", "(int) ".repeat(n)))),
+            ("sum", |n| body(format!("x = x{};", " + x".repeat(n)))),
+            ("conjunction", |n| {
+                body(format!("if (x{}) {{ x = 1; }}", " && x".repeat(n)))
+            }),
+            ("ternary", |n| {
+                body(format!("x = {}0;", "x ? 1 : ".repeat(n)))
+            }),
+            ("assignment", |n| body(format!("{}1;", "x = ".repeat(n)))),
+            ("calls", |n| {
+                let calls = format!("x = {}x{};", "id(".repeat(n), ")".repeat(n));
+                format!("int id(int v) {{ return v; }} {}", body(calls))
+            }),
+            ("pointers", |n| {
+                let stars = "*".repeat(n);
+                format!("int {stars}p; int f() {{ return p{}; }}", "[0]".repeat(n))
+            }),
+            ("initializer", |n| {
+                let structs: String = (1..n)
+                    .map(|i| format!("struct s{i} {{ struct s{} v; }};", i - 1))
+                    .collect();
+                let (open, close) = ("{".repeat(n), "}".repeat(n));
+                format!(
+                    "struct s0 {{ int v; }}; {structs} struct s{} g = {open}1{close};",
+                    n - 1
+                )
+            }),
+        ]
+    }
+
+    #[test]
+    fn nesting_to_the_parser_limit_parses_and_lowers_on_a_2_mib_stack() {
+        let run = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                for (name, shape) in nesting_shapes() {
+                    let deepest = (1..=2 * MAX_NESTING)
+                        .rev()
+                        .find(|&n| parse_program(&shape(n)).is_ok())
+                        .unwrap_or_else(|| panic!("{name}: shallow nesting must parse"));
+                    let program = parse_program(&shape(deepest)).expect("found above");
+                    if let Err(e) = lower_program(&program) {
+                        panic!("{name} at {deepest}: {e}");
+                    }
+                    for past in [deepest + 1, 50_000] {
+                        let err = parse_program(&shape(past)).unwrap_err();
+                        assert!(
+                            err.message.starts_with("nesting deeper than") && err.span.line > 0,
+                            "{name} at {past}: {err}"
+                        );
+                    }
+                }
+            })
+            .expect("spawn a 2 MiB thread");
+        assert!(
+            run.join().is_ok(),
+            "nesting at the limit fits a 2 MiB stack"
+        );
+    }
+}

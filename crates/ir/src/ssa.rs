@@ -76,8 +76,7 @@ pub fn promote_to_ssa(f: &Function) -> Function {
         phi_edges: HashMap::new(),
         undef_cache: HashMap::new(),
     };
-    let mut stacks: HashMap<SlotId, Vec<ValueId>> = HashMap::new();
-    renamer.rename_block(BlockId(0), &dom, &mut stacks);
+    renamer.rename(&dom);
     let replace = std::mem::take(&mut renamer.replace);
     let phi_edges = std::mem::take(&mut renamer.phi_edges);
 
@@ -127,13 +126,49 @@ struct Renamer<'a> {
     undef_cache: HashMap<SlotId, ValueId>,
 }
 
+/// One step of the renaming walk over the dominator tree.
+enum Visit {
+    /// Rename a block, then walk its dominator-tree children.
+    Enter(BlockId),
+    /// All of a block's children are done: pop the slots it pushed.
+    Exit(Vec<SlotId>),
+}
+
 impl Renamer<'_> {
+    /// Renames every block in dominator-tree preorder. The walk keeps an
+    /// explicit stack, so a chain-shaped dominator tree (a function of
+    /// many sequential `if`s) costs heap, not native stack.
+    fn rename(&mut self, dom: &DomTree) {
+        let mut stacks: HashMap<SlotId, Vec<ValueId>> = HashMap::new();
+        let mut walk = vec![Visit::Enter(BlockId(0))];
+        while let Some(visit) = walk.pop() {
+            match visit {
+                Visit::Enter(b) => {
+                    walk.push(Visit::Exit(self.rename_block(b, &mut stacks)));
+                    // Reversed, so the children pop in tree order.
+                    walk.extend(
+                        dom.children[b.index()]
+                            .iter()
+                            .rev()
+                            .map(|&c| Visit::Enter(c)),
+                    );
+                }
+                Visit::Exit(pushed) => {
+                    for s in pushed {
+                        stacks.get_mut(&s).expect("pushed slot has stack").pop();
+                    }
+                }
+            }
+        }
+    }
+
+    /// Renames one block's loads and stores and fills its successors' phi
+    /// operands; returns the slots whose definition stack it pushed.
     fn rename_block(
         &mut self,
         b: BlockId,
-        dom: &DomTree,
         stacks: &mut HashMap<SlotId, Vec<ValueId>>,
-    ) {
+    ) -> Vec<SlotId> {
         let mut pushed: Vec<SlotId> = Vec::new();
 
         // Phis defined in this block become the current definition.
@@ -180,14 +215,7 @@ impl Renamer<'_> {
             }
         }
 
-        let children = dom.children[b.index()].clone();
-        for c in children {
-            self.rename_block(c, dom, stacks);
-        }
-
-        for s in pushed {
-            stacks.get_mut(&s).expect("pushed slot has stack").pop();
-        }
+        pushed
     }
 
     fn resolve(&self, v: ValueId) -> ValueId {
@@ -404,5 +432,23 @@ mod tests {
     fn logical_and_value_becomes_phi() {
         let f = ssa_of("int f(int a, int b) { int ok = a && b; return ok; }", "f");
         assert!(count_phis(&f) >= 1);
+    }
+
+    #[test]
+    fn chain_shaped_dominator_tree_renames_on_a_2_mib_stack() {
+        // Sequential `if`s make the dominator tree a chain as long as the
+        // function: renaming must not take a native frame per level.
+        let ifs: String = (0..20_000)
+            .map(|i| format!("if (x > {i}) {{ y = {i}; }}\n"))
+            .collect();
+        let src = format!("int f(int x) {{ int y = 0;\n{ifs} return y; }}");
+        let f = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || ssa_of(&src, "f"))
+            .expect("spawn a 2 MiB thread")
+            .join()
+            .expect("promotion fits a 2 MiB stack");
+        assert_eq!(count_slot_memops(&f), 0);
+        assert_eq!(count_phis(&f), 20_000);
     }
 }

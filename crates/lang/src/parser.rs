@@ -18,16 +18,30 @@ use crate::diag::{Diagnostic, Span};
 use crate::token::{Token, TokenKind};
 use crate::types::CType;
 
+/// The deepest nesting the parser builds. Nested statements, expressions
+/// and initializers each count a level, and so does each link of a chain
+/// the parser builds in a loop but lowering walks recursively: the
+/// operands of `a + b + c`, the postfixes of `a[i].f`, the stars of
+/// `int **`. Input nested deeper is a diagnostic, not a native stack
+/// overflow here, in lowering, or when the tree is dropped.
+pub const MAX_NESTING: usize = 128;
+
 /// Recursive-descent parser state.
 pub struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Nesting levels open at `pos` (see [`MAX_NESTING`]).
+    depth: usize,
 }
 
 impl Parser {
     /// Creates a parser over a token stream (must end with `Eof`).
     pub fn new(tokens: Vec<Token>) -> Self {
-        Parser { tokens, pos: 0 }
+        Parser {
+            tokens,
+            pos: 0,
+            depth: 0,
+        }
     }
 
     /// Parses a whole translation unit.
@@ -114,6 +128,30 @@ impl Parser {
                 format!("expected identifier, found `{other}`"),
             )),
         }
+    }
+
+    /// Opens one more nesting level, or fails at [`MAX_NESTING`].
+    fn descend(&mut self) -> Result<(), Diagnostic> {
+        if self.depth == MAX_NESTING {
+            return Err(Diagnostic::new(
+                self.span(),
+                format!("nesting deeper than {MAX_NESTING} levels"),
+            ));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Runs one recursive production a nesting level deeper.
+    fn nested<T>(
+        &mut self,
+        parse: fn(&mut Parser) -> Result<T, Diagnostic>,
+    ) -> Result<T, Diagnostic> {
+        let outer = self.depth;
+        self.descend()?;
+        let parsed = parse(self);
+        self.depth = outer;
+        parsed
     }
 
     // --- Types -------------------------------------------------------------
@@ -207,10 +245,13 @@ impl Parser {
                 "signedness qualifier on non-integer type",
             ));
         }
+        let outer = self.depth;
         let mut ty = base;
         while self.eat(&TokenKind::Star) {
+            self.descend()?;
             ty = CType::Ptr(Box::new(ty));
         }
+        self.depth = outer;
         Ok(ty)
     }
 
@@ -347,6 +388,10 @@ impl Parser {
     }
 
     fn parse_initializer(&mut self) -> Result<Initializer, Diagnostic> {
+        self.nested(Self::initializer)
+    }
+
+    fn initializer(&mut self) -> Result<Initializer, Diagnostic> {
         if self.eat(&TokenKind::LBrace) {
             let mut items = Vec::new();
             while !self.check(&TokenKind::RBrace) {
@@ -411,6 +456,10 @@ impl Parser {
     }
 
     fn parse_stmt(&mut self) -> Result<Stmt, Diagnostic> {
+        self.nested(Self::stmt)
+    }
+
+    fn stmt(&mut self) -> Result<Stmt, Diagnostic> {
         let span = self.span();
         match self.peek().clone() {
             TokenKind::LBrace => Ok(Stmt::Block(self.parse_block()?)),
@@ -618,6 +667,10 @@ impl Parser {
 
     /// Parses a full expression (assignment level).
     pub fn parse_expr(&mut self) -> Result<Expr, Diagnostic> {
+        self.nested(Self::assignment)
+    }
+
+    fn assignment(&mut self) -> Result<Expr, Diagnostic> {
         let lhs = self.parse_ternary()?;
         let op = match self.peek() {
             TokenKind::Eq => Some(None),
@@ -656,7 +709,7 @@ impl Parser {
             self.bump();
             let t = self.parse_expr()?;
             self.expect(&TokenKind::Colon)?;
-            let f = self.parse_ternary()?;
+            let f = self.nested(Self::parse_ternary)?;
             return Ok(Expr::new(
                 ExprKind::Ternary(Box::new(cond), Box::new(t), Box::new(f)),
                 span,
@@ -696,17 +749,24 @@ impl Parser {
         if level > 9 {
             return self.parse_unary();
         }
+        let outer = self.depth;
         let mut lhs = self.parse_binary(level + 1)?;
         while let Some(op) = self.binop_at(level) {
+            self.descend()?;
             let span = self.span();
             self.bump();
             let rhs = self.parse_binary(level + 1)?;
             lhs = Expr::new(ExprKind::Binary(op, Box::new(lhs), Box::new(rhs)), span);
         }
+        self.depth = outer;
         Ok(lhs)
     }
 
     fn parse_unary(&mut self) -> Result<Expr, Diagnostic> {
+        self.nested(Self::unary)
+    }
+
+    fn unary(&mut self) -> Result<Expr, Diagnostic> {
         let span = self.span();
         match self.peek().clone() {
             TokenKind::Minus => {
@@ -769,6 +829,7 @@ impl Parser {
     }
 
     fn parse_postfix(&mut self) -> Result<Expr, Diagnostic> {
+        let outer = self.depth;
         let mut e = self.parse_primary()?;
         loop {
             let span = self.span();
@@ -834,8 +895,12 @@ impl Parser {
                         span,
                     );
                 }
-                _ => return Ok(e),
+                _ => {
+                    self.depth = outer;
+                    return Ok(e);
+                }
             }
+            self.descend()?;
         }
     }
 
@@ -1106,5 +1171,19 @@ mod tests {
     fn unsized_array_infers_length() {
         let p = parse_program(r#"char* names[] = { "a", "b", "c" };"#).unwrap();
         assert!(matches!(p.globals[0].ty, CType::Array(_, 3)));
+    }
+
+    #[test]
+    fn nesting_stops_at_the_limit_with_its_position() {
+        // Each nested block statement is one level.
+        let blocks = |n: usize| format!("int f() {{ {}{} }}", "{".repeat(n), "}".repeat(n));
+        assert!(parse_program(&blocks(MAX_NESTING)).is_ok());
+        let err = parse_program(&blocks(MAX_NESTING + 1)).unwrap_err();
+        assert_eq!(
+            err.message,
+            format!("nesting deeper than {MAX_NESTING} levels")
+        );
+        // The brace that opens the level past the limit.
+        assert_eq!(err.span, Span::new(1, 11 + MAX_NESTING as u32));
     }
 }

@@ -10,6 +10,11 @@
 
 use std::fmt::Write as _;
 
+/// The deepest array and object nesting [`Json::parse`] accepts. Deeper
+/// input is an error carrying its byte offset, not a native stack
+/// overflow: a daemon request line comes from outside the program.
+const MAX_DEPTH: usize = 128;
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -32,7 +37,7 @@ impl Json {
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing garbage at byte {pos}"));
@@ -125,12 +130,17 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses the value at `pos`, inside `depth` enclosing arrays and objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {pos}",
+            pos = *pos
+        )),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => parse_string(bytes, pos).map(Json::Str),
         Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
@@ -227,7 +237,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     *pos += 1; // consume '['
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -236,7 +246,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -249,7 +259,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     *pos += 1; // consume '{'
     let mut members = Vec::new();
     skip_ws(bytes, pos);
@@ -268,7 +278,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             return Err(format!("expected `:` at byte {pos}", pos = *pos));
         }
         *pos += 1;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         members.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -365,5 +375,31 @@ mod tests {
         assert!(Json::parse(r#"{"a" 1}"#).is_err());
         assert!(Json::parse("true false").is_err(), "trailing garbage");
         assert!(Json::parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_stops_at_the_limit_with_its_position() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        let mut at_limit = Json::parse(&nest(MAX_DEPTH)).expect("nesting at the limit parses");
+        for _ in 1..MAX_DEPTH {
+            at_limit = at_limit.as_array().expect("nested array")[0].clone();
+        }
+        assert_eq!(at_limit, Json::Arr(Vec::new()));
+        assert_eq!(
+            Json::parse(&nest(MAX_DEPTH + 1)),
+            Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {MAX_DEPTH}"
+            ))
+        );
+        let object = format!(
+            "{}1{}",
+            r#"{"a":"#.repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(Json::parse(&object)
+            .unwrap_err()
+            .starts_with("nesting deeper"));
+        // Far past the limit: an error, not a stack overflow.
+        assert!(Json::parse(&nest(50_000)).is_err());
     }
 }

@@ -583,44 +583,38 @@ fn suggestion_index_matches_a_linear_scan() {
                 if key.is_empty() {
                     continue;
                 }
-                for insensitive in [false, true] {
-                    let session = CheckSession::new(&db).case_insensitive_keys(insensitive);
-                    let unknown: Vec<_> = (session.check_text(&format!("{key} = 1\n")))
-                        .into_iter()
-                        .filter(|d| d.code == DiagCode::UnknownKey)
-                        .collect();
-                    let known = match insensitive {
-                        false => db.param(&key).is_some(),
-                        true => folded.is_some(),
-                    };
-                    if known {
-                        assert!(unknown.is_empty(), "{key:?} is known");
-                        continue;
-                    }
-                    let want = match (&folded, insensitive) {
-                        (Some(twin), false) => Some((
-                            format!(
-                                "parameter names are case-sensitive here; did you mean \"{twin}\"?"
-                            ),
-                            twin.clone(),
-                        )),
-                        _ => scan_nearest(&db, &key, 3, insensitive)
-                            .map(|near| (format!("did you mean \"{near}\"?"), near)),
-                    };
-                    let (message, fix) = match want {
-                        Some((message, to)) => {
-                            let from = key.clone();
-                            (Some(message), Some(Fix::RenameKey { from, to }))
-                        }
-                        None => (None, None),
-                    };
-                    assert_eq!(unknown.len(), 1, "{key:?}");
-                    assert_eq!(
-                        (&unknown[0].suggestion, &unknown[0].fix),
-                        (&message, &fix),
-                        "unknown key {key:?} (insensitive: {insensitive})"
-                    );
+                let unknown: Vec<_> = CheckSession::new(&db)
+                    .check_text(&format!("{key} = 1\n"))
+                    .into_iter()
+                    .filter(|d| d.code == DiagCode::UnknownKey)
+                    .collect();
+                if db.param(&key).is_some() {
+                    assert!(unknown.is_empty(), "{key:?} is known");
+                    continue;
                 }
+                let want = match &folded {
+                    Some(twin) => Some((
+                        format!(
+                            "parameter names are case-sensitive here; did you mean \"{twin}\"?"
+                        ),
+                        twin.clone(),
+                    )),
+                    None => scan_nearest(&db, &key, 3, false)
+                        .map(|near| (format!("did you mean \"{near}\"?"), near)),
+                };
+                let (message, fix) = match want {
+                    Some((message, to)) => {
+                        let from = key.clone();
+                        (Some(message), Some(Fix::RenameKey { from, to }))
+                    }
+                    None => (None, None),
+                };
+                assert_eq!(unknown.len(), 1, "{key:?}");
+                assert_eq!(
+                    (&unknown[0].suggestion, &unknown[0].fix),
+                    (&message, &fix),
+                    "unknown key {key:?}"
+                );
             }
         }
     }
