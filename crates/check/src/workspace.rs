@@ -9,7 +9,9 @@
 //!
 //! * each module's functions are **fingerprinted** over their lowered IR,
 //!   so [`Workspace::update_module`] knows exactly which bodies changed
-//!   (whitespace and comment edits dirty nothing);
+//!   (whitespace and comment edits dirty nothing); a batch of new modules
+//!   ([`Workspace::add_modules`]) is parsed and lowered on the worker
+//!   pool;
 //! * [`Workspace::reanalyze`] tells the core which functions changed
 //!   ([`Spex::analyze_scoped`] alone decides which parameters' five
 //!   inference passes that re-runs), and merges the fresh constraints
@@ -58,8 +60,8 @@ use spex_core::apispec::ApiSpec;
 use spex_core::fingerprint::{
     diff_fingerprints, function_fingerprints, header_fingerprint, FingerprintDiff,
 };
-use spex_core::infer::{Incremental, PassCache, PassCounts, Spex, SpexAnalysis};
-use spex_core::Annotation;
+use spex_core::infer::{Incremental, PassCache, PassCounts, Spex};
+use spex_core::{Annotation, Constraint};
 use spex_ir::Module;
 use spex_react::{ReactionClass, ReactionFinding};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -276,7 +278,11 @@ impl Workspace {
         self
     }
 
-    /// Overrides the worker-thread count for batch checking.
+    /// Overrides the worker-thread count (default: the machine's
+    /// available parallelism). The pool it sizes runs the front end of
+    /// [`add_modules`](Workspace::add_modules), the analysis and reaction
+    /// classification in [`reanalyze`](Workspace::reanalyze), and batch
+    /// checking. Results do not depend on it.
     pub fn with_threads(mut self, threads: usize) -> Workspace {
         self.threads = threads.max(1);
         self
@@ -358,10 +364,9 @@ impl Workspace {
     }
 
     /// Merges another database for the same system into the owned one
-    /// (cross-process sharding: N workers analyze module subsets, the
-    /// coordinator folds their databases in). Conflicts resolve exactly
-    /// as in [`ConstraintDb::merge`]; the next check sees the merged
-    /// constraints.
+    /// (databases analyzed elsewhere, say one per module subset, fold in
+    /// here). Conflicts resolve exactly as in [`ConstraintDb::merge`]; the
+    /// next check sees the merged constraints.
     pub fn merge_db(&mut self, other: &ConstraintDb) -> Result<MergeReport, MergeError> {
         self.db.merge(other)
     }
@@ -398,36 +403,78 @@ impl Workspace {
         })
     }
 
+    /// One new module's front end: lex, parse, lower, parse the
+    /// annotations and fingerprint, ready for its first analysis.
+    fn front_end(
+        name: &str,
+        source: &str,
+        annotations: &str,
+    ) -> Result<SourceModule, WorkspaceError> {
+        let module = Self::parse_source(name, source)?;
+        let anns = Self::parse_annotations(name, annotations)?;
+        Ok(SourceModule {
+            fn_fps: function_fingerprints(&module),
+            header_fp: header_fingerprint(&module),
+            module: Arc::new(module),
+            cache: PassCache::default(),
+            anns,
+            dirty: Dirty::All,
+            touched: BTreeSet::new(),
+            reactions: BTreeMap::new(),
+        })
+    }
+
     /// Adds a source module with its mapping annotations. The source is
     /// parsed, lowered and fingerprinted now; inference happens at the
-    /// next [`reanalyze`](Workspace::reanalyze).
+    /// next [`reanalyze`](Workspace::reanalyze). The one-module case of
+    /// [`add_modules`](Workspace::add_modules).
     pub fn add_module(
         &mut self,
         name: impl Into<String>,
         source: &str,
         annotations: &str,
     ) -> Result<(), WorkspaceError> {
-        let name = name.into();
-        if self.modules.contains_key(&name) {
-            return Err(WorkspaceError::DuplicateModule(name));
+        self.add_modules(&[(name.into(), source, annotations)])
+    }
+
+    /// Adds `(name, source, annotations)` modules. Their front ends run on
+    /// the worker pool when there is more than one; they then join the
+    /// workspace in input order, so the outcome is exactly that of calling
+    /// [`add_module`](Workspace::add_module) for each in turn and stopping
+    /// at the first error: the modules before the failing one are added,
+    /// the failing one and those after it are not. A name the workspace
+    /// already owns, or one repeated within the batch, is a
+    /// [`WorkspaceError::DuplicateModule`].
+    pub fn add_modules<N, S, A>(&mut self, modules: &[(N, S, A)]) -> Result<(), WorkspaceError>
+    where
+        N: AsRef<str> + Sync,
+        S: AsRef<str> + Sync,
+        A: AsRef<str> + Sync,
+    {
+        let _telemetry = self.telemetry.as_ref().map(spex_obs::install);
+        let _span = spex_obs::span("workspace.add_modules");
+        let front_end = |i: usize| {
+            let (name, source, annotations) = &modules[i];
+            Self::front_end(name.as_ref(), source.as_ref(), annotations.as_ref())
+        };
+        // Same routing as `reanalyze`: one module never touches the pool.
+        let parsed: Vec<Result<SourceModule, WorkspaceError>> = if modules.len() > 1 {
+            crate::pool::run_indexed(
+                self.threads,
+                modules.len(),
+                self.telemetry.as_ref(),
+                front_end,
+            )
+        } else {
+            (0..modules.len()).map(front_end).collect()
+        };
+        for ((name, _, _), module) in modules.iter().zip(parsed) {
+            let name = name.as_ref();
+            if self.modules.contains_key(name) {
+                return Err(WorkspaceError::DuplicateModule(name.to_string()));
+            }
+            self.modules.insert(name.to_string(), module?);
         }
-        let module = Self::parse_source(&name, source)?;
-        let anns = Self::parse_annotations(&name, annotations)?;
-        let fn_fps = function_fingerprints(&module);
-        let header_fp = header_fingerprint(&module);
-        self.modules.insert(
-            name,
-            SourceModule {
-                module: Arc::new(module),
-                cache: PassCache::default(),
-                anns,
-                fn_fps,
-                header_fp,
-                dirty: Dirty::All,
-                touched: BTreeSet::new(),
-                reactions: BTreeMap::new(),
-            },
-        );
         Ok(())
     }
 
@@ -550,14 +597,29 @@ impl Workspace {
         /// One dirty module's analysis input, detached from the workspace
         /// borrow: the module is `Arc`-shared (no function body is copied
         /// — the zero-copy invariant `function_clones` tracks), the pass
-        /// cache is taken out of the entry and handed back after the run.
+        /// cache and the reaction verdicts are taken out of the entry and
+        /// handed back after the run.
         struct Job {
             name: String,
             module: Arc<Module>,
             anns: Vec<Annotation>,
             cache: Mutex<PassCache>,
+            /// The last analysis's reaction verdicts, reused for stale
+            /// slices.
+            reactions: Mutex<BTreeMap<String, ReactionFinding>>,
             /// The changed functions, or `None` when everything changed.
             dirty: Option<BTreeSet<String>>,
+        }
+
+        /// What the fold needs of one job's analysis. Everything else
+        /// (evidence, slices, the prepared module) is dropped on the
+        /// worker.
+        struct Analyzed {
+            passes: PassCounts,
+            /// Every mapped parameter, with its fresh constraints or
+            /// `None` when the scope rule left it stale.
+            params: Vec<(String, Option<Vec<Constraint>>)>,
+            reactions: BTreeMap<String, ReactionFinding>,
         }
 
         // Phase 1 (serial, module-name order): snapshot every dirty
@@ -575,15 +637,18 @@ impl Workspace {
                 module: Arc::clone(&entry.module),
                 anns: entry.anns.clone(),
                 cache: Mutex::new(std::mem::take(&mut entry.cache)),
+                reactions: Mutex::new(std::mem::take(&mut entry.reactions)),
                 dirty,
             });
         }
         report.modules_analyzed = jobs.len();
 
-        // Phase 2: analyze. With several dirty modules the pool fans out at
-        // module granularity and each job runs its parameter passes inline
-        // (nesting pools would oversubscribe); with a single dirty module
-        // the parameter-level fan-out inside the core gets all the threads.
+        // Phase 2: analyze, then classify the reaction path of every
+        // re-inferred slice (a stale slice keeps its cached verdict). With
+        // several dirty modules the pool fans out at module granularity
+        // and each job runs its parameter passes inline (nesting pools
+        // would oversubscribe); with a single dirty module the
+        // parameter-level fan-out inside the core gets all the threads.
         // Routing on the workload keeps telemetry thread-count-independent.
         let spec = &self.spec;
         let analyze_job = |job: &Job, threads: usize| {
@@ -594,9 +659,40 @@ impl Workspace {
                 dirty: job.dirty.as_ref(),
                 threads,
             };
-            Spex::analyze_scoped(&job.module, &job.anns, spec.clone(), Some(incremental))
+            let analysis =
+                Spex::analyze_scoped(&job.module, &job.anns, spec.clone(), Some(incremental));
+            let mut old = std::mem::take(&mut *job.reactions.lock().expect("job reactions lock"));
+            let mut passes = PassCounts::default();
+            let mut reactions = BTreeMap::new();
+            for r in &analysis.reports {
+                let finding = if r.stale {
+                    let Some(f) = old.remove(&r.param.name) else {
+                        continue;
+                    };
+                    passes.react_cache_hits += 1;
+                    f
+                } else {
+                    passes.react_runs += 1;
+                    spex_react::classify_with_summaries(&analysis.am, &analysis.summaries, r)
+                };
+                reactions.insert(r.param.name.clone(), finding);
+            }
+            // The core published its own counts; the reaction counts are
+            // the only ones it could not see.
+            passes.record_metrics();
+            passes.accumulate(&analysis.passes);
+            let params = analysis
+                .reports
+                .into_iter()
+                .map(|r| (r.param.name, (!r.stale).then_some(r.constraints)))
+                .collect();
+            Analyzed {
+                passes,
+                params,
+                reactions,
+            }
         };
-        let analyses: Vec<SpexAnalysis> = if jobs.len() > 1 {
+        let analyses: Vec<Analyzed> = if jobs.len() > 1 {
             crate::pool::run_indexed(self.threads, jobs.len(), self.telemetry.as_ref(), |i| {
                 analyze_job(&jobs[i], 1)
             })
@@ -608,42 +704,24 @@ impl Workspace {
         // database. The fold order is what makes the persisted constraints
         // byte-identical to the serial run at any thread count; the pass
         // counters are commutative sums, so they match too.
-        for (job, analysis) in jobs.into_iter().zip(analyses) {
+        for (job, analyzed) in jobs.into_iter().zip(analyses) {
             let name = job.name;
             let entry = self.modules.get_mut(&name).expect("still present");
             entry.cache = job.cache.into_inner().expect("job cache lock");
-            report.passes.accumulate(&analysis.passes);
-            report.params_total += analysis.reports.len();
+            entry.reactions = analyzed.reactions;
+            report.passes.accumulate(&analyzed.passes);
+            report.params_total += analyzed.params.len();
 
-            // Fold the fresh results into the database, re-classifying
-            // the reaction path for every re-inferred slice and keeping
-            // the cached verdict for stale ones.
-            let mut old_reactions = std::mem::take(&mut entry.reactions);
-            let mut react_hits = 0u64;
-            let mut reactions: BTreeMap<String, ReactionFinding> = BTreeMap::new();
             let mut touched: BTreeSet<String> = BTreeSet::new();
-            for r in &analysis.reports {
-                touched.insert(r.param.name.clone());
-                self.db.note_param(&r.param.name);
-                if r.stale {
-                    if let Some(f) = old_reactions.remove(&r.param.name) {
-                        report.passes.react_cache_hits += 1;
-                        react_hits += 1;
-                        reactions.insert(r.param.name.clone(), f);
-                    }
-                    continue;
+            for (param, fresh) in analyzed.params {
+                self.db.note_param(&param);
+                if let Some(constraints) = fresh {
+                    report.params_reinferred += 1;
+                    let (removed, added) = self.db.replace_source_param(&name, &param, constraints);
+                    report.constraints_removed += removed;
+                    report.constraints_added += added;
                 }
-                report.passes.react_runs += 1;
-                reactions.insert(
-                    r.param.name.clone(),
-                    spex_react::classify_with_summaries(&analysis.am, &analysis.summaries, r),
-                );
-                report.params_reinferred += 1;
-                let (removed, added) =
-                    self.db
-                        .replace_source_param(&name, &r.param.name, r.constraints.clone());
-                report.constraints_removed += removed;
-                report.constraints_added += added;
+                touched.insert(param);
             }
 
             // Garbage-collect parameters this module no longer maps.
@@ -659,12 +737,8 @@ impl Workspace {
                 .chain(self.db.params_from_source(&name))
                 .filter(|p| !touched.contains(p))
                 .collect();
-            if react_hits > 0 {
-                spex_obs::counter("react.cache.hits", react_hits);
-            }
             recount_mapped(&mut self.mapped, &entry.touched, &touched);
             entry.touched = touched;
-            entry.reactions = reactions;
             for param in gone {
                 report.constraints_removed += self.db.remove_source_param(&name, &param);
                 self.drop_param_if_orphaned(&param);
@@ -910,6 +984,70 @@ mod tests {
             ws.add_module("badann.c", BASE, "{ @NOT = a thing }"),
             Err(WorkspaceError::Annotations { .. })
         ));
+    }
+
+    #[test]
+    fn add_modules_fails_exactly_like_a_loop_of_add_module() {
+        type Batch<'a> = &'a [(&'a str, &'a str, &'a str)];
+        fn one_by_one(ws: &mut Workspace, batch: Batch<'_>) -> Result<(), WorkspaceError> {
+            for (name, source, annotations) in batch {
+                ws.add_module(*name, source, annotations)?;
+            }
+            Ok(())
+        }
+        let parse = |module: &str| WorkspaceError::Parse {
+            module: module.into(),
+            message: String::new(),
+        };
+        let cases: [(Batch<'_>, WorkspaceError); 4] = [
+            (
+                &[
+                    ("a.c", BASE, ANN),
+                    ("bad.c", "int = ;", ANN),
+                    ("c.c", BASE, ANN),
+                ],
+                parse("bad.c"),
+            ),
+            (
+                &[("a.c", BASE, ANN), ("a.c", BASE, ANN), ("c.c", BASE, ANN)],
+                WorkspaceError::DuplicateModule("a.c".into()),
+            ),
+            (
+                &[
+                    ("a.c", BASE, ANN),
+                    ("main.c", BASE, ANN),
+                    ("c.c", BASE, ANN),
+                ],
+                WorkspaceError::DuplicateModule("main.c".into()),
+            ),
+            (
+                &[("a.c", BASE, ANN), ("bad.c", BASE, "{ @NOT = a thing }")],
+                WorkspaceError::Annotations {
+                    module: "bad.c".into(),
+                    message: String::new(),
+                },
+            ),
+        ];
+        for (batch, expected) in cases {
+            let mut batched = ws().with_threads(4);
+            let mut looped = ws();
+            let got = batched.add_modules(batch);
+            assert_eq!(got, one_by_one(&mut looped, batch));
+            let blank = |e: WorkspaceError| match e {
+                WorkspaceError::Parse { module, .. } => parse(&module),
+                WorkspaceError::Annotations { module, .. } => WorkspaceError::Annotations {
+                    module,
+                    message: String::new(),
+                },
+                e => e,
+            };
+            assert_eq!(got.map_err(blank), Err(expected));
+            // Only what came before the failing module was added.
+            assert_eq!(batched.modules(), vec!["a.c", "main.c"]);
+            batched.reanalyze();
+            looped.reanalyze();
+            assert_eq!(batched.db().save_to_string(), looped.db().save_to_string());
+        }
     }
 
     #[test]

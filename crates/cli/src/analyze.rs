@@ -4,24 +4,19 @@
 use std::path::PathBuf;
 
 use crate::driver::{
-    analyze_sources, collect_sources, parse_color, parse_dialect, parse_format, render_reanalyze,
-    render_report, value_of, CliError, CliResult, OutFormat,
+    analyze_sources, collect_sources, parse_color, parse_format, render_reanalyze, render_report,
+    value_of, CliError, CliResult, OutFormat, WorkspaceOpts,
 };
-use spex::conf::Dialect;
 use spex::ColorMode;
 
 /// Options shared by `analyze` and `react`: the workspace shape plus the
 /// source set.
 pub struct AnalyzeOpts {
-    /// Subject-system name recorded in the database header.
-    pub system: String,
-    /// Config-file dialect of the subject system.
-    pub dialect: Dialect,
-    /// Worker threads for inference (`0` = workspace default).
-    pub threads: usize,
+    /// `--system`, `--dialect` and `--threads`.
+    pub ws: WorkspaceOpts,
     /// Whether to record and print the telemetry span tree.
     pub telemetry: bool,
-    /// Suppress the analysis summary (shard workers set this).
+    /// Suppress the analysis summary.
     pub quiet: bool,
     /// Database output path (`analyze` only; empty = don't persist).
     pub db: Option<PathBuf>,
@@ -36,9 +31,7 @@ pub struct AnalyzeOpts {
 /// Parses the option stream shared by `analyze` and `react`.
 pub fn parse_opts(mut args: std::vec::IntoIter<String>) -> Result<AnalyzeOpts, CliError> {
     let mut opts = AnalyzeOpts {
-        system: "spex".into(),
-        dialect: Dialect::KeyValue,
-        threads: 0,
+        ws: WorkspaceOpts::default(),
         telemetry: false,
         quiet: false,
         db: None,
@@ -47,23 +40,10 @@ pub fn parse_opts(mut args: std::vec::IntoIter<String>) -> Result<AnalyzeOpts, C
         src: Vec::new(),
     };
     while let Some(arg) = args.next() {
+        if opts.ws.parse_flag(&arg, &mut args)? {
+            continue;
+        }
         match arg.as_str() {
-            "--system" => opts.system = value_of("--system", &mut args)?,
-            "--dialect" => opts.dialect = parse_dialect(&value_of("--dialect", &mut args)?)?,
-            "--threads" => {
-                let v = value_of("--threads", &mut args)?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| CliError(format!("--threads: not a number: {v:?}")))?;
-                if n == 0 {
-                    return Err(CliError(
-                        "--threads: must be at least 1 \
-                         (omit the flag to use the workspace default)"
-                            .into(),
-                    ));
-                }
-                opts.threads = n;
-            }
             "--telemetry" => opts.telemetry = true,
             "--quiet" => opts.quiet = true,
             "--db" => opts.db = Some(PathBuf::from(value_of("--db", &mut args)?)),
@@ -85,13 +65,7 @@ pub fn parse_opts(mut args: std::vec::IntoIter<String>) -> Result<AnalyzeOpts, C
 pub fn run(args: std::vec::IntoIter<String>) -> CliResult {
     let opts = parse_opts(args)?;
     let sources = collect_sources(&opts.src)?;
-    let (ws, report) = analyze_sources(
-        &opts.system,
-        opts.dialect,
-        opts.threads,
-        opts.telemetry,
-        &sources,
-    )?;
+    let (ws, report) = analyze_sources(&opts.ws, opts.telemetry, &sources)?;
     if !opts.quiet {
         print!("{}", render_reanalyze(&ws, &report));
     }
@@ -112,13 +86,7 @@ pub fn run(args: std::vec::IntoIter<String>) -> CliResult {
 pub fn run_react(args: std::vec::IntoIter<String>) -> CliResult {
     let opts = parse_opts(args)?;
     let sources = collect_sources(&opts.src)?;
-    let (ws, _) = analyze_sources(
-        &opts.system,
-        opts.dialect,
-        opts.threads,
-        opts.telemetry,
-        &sources,
-    )?;
+    let (ws, _) = analyze_sources(&opts.ws, opts.telemetry, &sources)?;
     let report = ws.reaction_report();
     print!("{}", render_report(&report, opts.format, opts.color));
     if opts.telemetry {

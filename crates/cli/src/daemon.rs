@@ -9,13 +9,14 @@
 //! domain socket; connections are served sequentially against the same
 //! warm workspace until a `shutdown` request arrives).
 
+use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
 
-use crate::driver::{parse_dialect, value_of, CliError, CliResult};
+use crate::driver::{value_of, CliError, CliResult, WorkspaceOpts};
 use spex::check::json::{quote, Json};
 use spex::check::{ConstraintDb, ReanalyzeReport};
-use spex::conf::Dialect;
+use spex::core::CountKind;
 use spex::{JsonLinesRenderer, Workspace};
 
 /// The daemon protocol version this binary speaks.
@@ -34,24 +35,17 @@ struct DaemonState {
 
 /// Runs `spex daemon`.
 pub fn run(mut args: std::vec::IntoIter<String>) -> CliResult {
-    let mut system = String::from("spex");
-    let mut dialect = Dialect::KeyValue;
-    let mut threads = 0usize;
+    let mut opts = WorkspaceOpts::default();
     let mut stdio = false;
     let mut socket: Option<PathBuf> = None;
     let mut db: Option<PathBuf> = None;
     while let Some(arg) = args.next() {
+        if opts.parse_flag(&arg, &mut args)? {
+            continue;
+        }
         match arg.as_str() {
             "--stdio" => stdio = true,
             "--socket" => socket = Some(PathBuf::from(value_of("--socket", &mut args)?)),
-            "--system" => system = value_of("--system", &mut args)?,
-            "--dialect" => dialect = parse_dialect(&value_of("--dialect", &mut args)?)?,
-            "--threads" => {
-                let v = value_of("--threads", &mut args)?;
-                threads = v
-                    .parse()
-                    .map_err(|_| CliError(format!("--threads: not a number: {v:?}")))?;
-            }
             "--db" => db = Some(PathBuf::from(value_of("--db", &mut args)?)),
             other => return Err(CliError(format!("unknown option {other:?}"))),
         }
@@ -61,15 +55,9 @@ pub fn run(mut args: std::vec::IntoIter<String>) -> CliResult {
             "daemon needs exactly one of --stdio or --socket PATH".into(),
         ));
     }
-    let mut ws = match &db {
-        Some(path) => Workspace::from_db(ConstraintDb::load(path)?),
-        None => Workspace::new(system, dialect),
-    };
-    if threads > 0 {
-        ws = ws.with_threads(threads);
-    }
+    let seed = db.as_ref().map(ConstraintDb::load).transpose()?;
     let mut state = DaemonState {
-        ws,
+        ws: opts.workspace(seed),
         last: ReanalyzeReport::default(),
         total: ReanalyzeReport::default(),
         checks: 0,
@@ -334,27 +322,23 @@ fn op_status(state: &mut DaemonState, id: Option<i64>) -> String {
 }
 
 /// Serializes one [`ReanalyzeReport`] — inference work plus the
-/// pass-cache counters the incremental acceptance tests assert on.
+/// pass-cache counters the incremental acceptance tests assert on, keyed
+/// by their [`PassCounts::FIELDS`](spex::core::PassCounts::FIELDS) names.
 fn report_json(r: &ReanalyzeReport) -> String {
-    format!(
+    let mut out = format!(
         "{{\"modules_analyzed\":{},\"params_total\":{},\"params_reinferred\":{},\
-         \"constraints_added\":{},\"constraints_removed\":{},\
-         \"mapping_extractions\":{},\"mapping_cache_hits\":{},\
-         \"summary_runs\":{},\"summary_cache_hits\":{},\
-         \"taint_runs\":{},\"taint_cache_hits\":{},\
-         \"react_runs\":{},\"react_cache_hits\":{}}}",
+         \"constraints_added\":{},\"constraints_removed\":{}",
         r.modules_analyzed,
         r.params_total,
         r.params_reinferred,
         r.constraints_added,
         r.constraints_removed,
-        r.passes.mapping_extractions,
-        r.passes.mapping_cache_hits,
-        r.passes.summary_runs,
-        r.passes.summary_cache_hits,
-        r.passes.taint_runs,
-        r.passes.taint_cache_hits,
-        r.passes.react_runs,
-        r.passes.react_cache_hits,
-    )
+    );
+    for (field, n) in r.passes.entries() {
+        if field.kind != CountKind::Pass {
+            let _ = write!(out, ",\"{}\":{n}", field.name);
+        }
+    }
+    out.push('}');
+    out
 }

@@ -4,8 +4,9 @@
 
 use std::path::{Path, PathBuf};
 
-use spex::check::ReanalyzeReport;
+use spex::check::{ConstraintDb, ReanalyzeReport};
 use spex::conf::Dialect;
+use spex::core::CountKind;
 use spex::{ColorMode, HumanRenderer, JsonLinesRenderer, Report, SarifRenderer, Workspace};
 
 /// A usage or operational failure. Rendered as `spex: error: {msg}` on
@@ -62,13 +63,71 @@ pub fn parse_dialect(s: &str) -> Result<Dialect, CliError> {
     }
 }
 
-/// The persisted tag for a dialect — what `shard` forwards to its worker
-/// processes.
-pub fn dialect_tag(d: Dialect) -> &'static str {
-    match d {
-        Dialect::KeyValue => "key-value",
-        Dialect::Directive => "directive",
-        Dialect::SpaceSeparated => "space",
+/// The workspace shape every analyzing subcommand (`analyze`, `react`,
+/// `watch`, `daemon`) takes from `--system`, `--dialect` and `--threads`.
+pub struct WorkspaceOpts {
+    /// Subject-system name recorded in the database header.
+    pub system: String,
+    /// Config-file dialect of the subject system.
+    pub dialect: Dialect,
+    /// Worker threads for the front end, inference and checking (`None`
+    /// = the workspace default).
+    pub threads: Option<usize>,
+}
+
+impl Default for WorkspaceOpts {
+    fn default() -> WorkspaceOpts {
+        WorkspaceOpts {
+            system: "spex".into(),
+            dialect: Dialect::KeyValue,
+            threads: None,
+        }
+    }
+}
+
+impl WorkspaceOpts {
+    /// Takes `arg` and its value off the stream when it is one of the
+    /// shared flags; `Ok(false)` leaves any other argument to the caller.
+    /// `--threads 0` is a usage error: omitting the flag is how to ask
+    /// for the default.
+    pub fn parse_flag(
+        &mut self,
+        arg: &str,
+        args: &mut std::vec::IntoIter<String>,
+    ) -> Result<bool, CliError> {
+        match arg {
+            "--system" => self.system = value_of("--system", args)?,
+            "--dialect" => self.dialect = parse_dialect(&value_of("--dialect", args)?)?,
+            "--threads" => {
+                let v = value_of("--threads", args)?;
+                let n: usize = v
+                    .parse()
+                    .map_err(|_| CliError(format!("--threads: not a number: {v:?}")))?;
+                if n == 0 {
+                    return Err(CliError(
+                        "--threads: must be at least 1 \
+                         (omit the flag to use the workspace default)"
+                            .into(),
+                    ));
+                }
+                self.threads = Some(n);
+            }
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// A workspace of this shape: a fresh one, or one seeded from `db`,
+    /// whose header then names the system and dialect.
+    pub fn workspace(&self, db: Option<ConstraintDb>) -> Workspace {
+        let ws = match db {
+            Some(db) => Workspace::from_db(db),
+            None => Workspace::new(&self.system, self.dialect),
+        };
+        match self.threads {
+            Some(n) => ws.with_threads(n),
+            None => ws,
+        }
     }
 }
 
@@ -119,8 +178,8 @@ pub fn render_report(report: &Report, format: OutFormat, color: ColorMode) -> St
 /// (its path as given), the mini-C text, and its sibling annotations.
 pub struct SourceFile {
     /// Module name — the source path's display string, so constraint
-    /// provenance matches across single-process and sharded runs fed the
-    /// same paths.
+    /// provenance matches across runs fed the same paths (and databases
+    /// analyzed apart merge back with `spex db merge`).
     pub name: String,
     /// The module's mini-C source text.
     pub source: String,
@@ -132,8 +191,8 @@ pub struct SourceFile {
 /// directories are walked recursively for `*.c`. Each module's
 /// annotations come from the sibling file with the `.spex` extension
 /// (absent sibling = no annotations). The result is sorted by name so
-/// every run — serial, threaded, sharded — feeds the workspace in one
-/// canonical order.
+/// every run, at any thread count, feeds the workspace in one canonical
+/// order.
 pub fn collect_sources(paths: &[PathBuf]) -> Result<Vec<SourceFile>, CliError> {
     let mut files: Vec<PathBuf> = Vec::new();
     for p in paths {
@@ -181,61 +240,57 @@ fn walk_c_files(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Builds a workspace over collected sources and runs the first analysis.
+/// Builds a workspace over collected sources (their front ends run on the
+/// workspace's pool) and runs the first analysis.
 pub fn analyze_sources(
-    system: &str,
-    dialect: Dialect,
-    threads: usize,
+    opts: &WorkspaceOpts,
     telemetry: bool,
     sources: &[SourceFile],
 ) -> Result<(Workspace, ReanalyzeReport), CliError> {
-    let mut ws = Workspace::new(system, dialect);
-    if threads > 0 {
-        ws = ws.with_threads(threads);
-    }
+    let mut ws = opts.workspace(None);
     if telemetry {
         ws.enable_telemetry();
     }
-    for s in sources {
-        ws.add_module(s.name.clone(), &s.source, &s.annotations)?;
-    }
+    let modules: Vec<_> = sources
+        .iter()
+        .map(|s| (&s.name, &s.source, &s.annotations))
+        .collect();
+    ws.add_modules(&modules)?;
     let report = ws.reanalyze();
     Ok((ws, report))
 }
 
-/// The analysis summary `analyze`, `shard` and `watch` print: one line of
-/// headline counts plus the pass/cache accounting.
+/// The analysis summary `analyze` and `watch` print: one line of headline
+/// counts plus the pass/cache accounting, read off
+/// [`PassCounts::FIELDS`](spex::core::PassCounts::FIELDS).
 pub fn render_reanalyze(ws: &Workspace, r: &ReanalyzeReport) -> String {
     let db = ws.db();
-    let mut out = format!(
-        "analyzed {} module(s): {} parameter(s), {} constraint(s)\n",
+    let counts: Vec<_> = r.passes.entries().collect();
+    let of_kind = |kind: CountKind| counts.iter().filter(move |(f, _)| f.kind == kind);
+    let passes: Vec<String> = of_kind(CountKind::Pass)
+        .map(|(f, n)| format!("{} {n}", f.label))
+        .collect();
+    let cache: Vec<String> = of_kind(CountKind::Runs)
+        .map(|(f, runs)| {
+            let hits = of_kind(CountKind::Hits)
+                .find(|(h, _)| h.label == f.label)
+                .map_or(0, |(_, n)| *n);
+            format!("{} {hits} hit(s)/{runs} run(s)", f.label)
+        })
+        .collect();
+    format!(
+        "analyzed {} module(s): {} parameter(s), {} constraint(s)\n\
+         re-inferred {}/{} parameter(s), constraints +{}/-{}\n\
+         passes: {}\n\
+         cache: {}\n",
         r.modules_analyzed,
         db.param_names().count(),
         db.constraint_count(),
-    );
-    out.push_str(&format!(
-        "re-inferred {}/{} parameter(s), constraints +{}/-{}\n",
-        r.params_reinferred, r.params_total, r.constraints_added, r.constraints_removed,
-    ));
-    out.push_str(&format!(
-        "passes: basic {}, semantic {}, range {}, control-dep {}, value-rel {}\n",
-        r.passes.basic_type,
-        r.passes.semantic_type,
-        r.passes.range,
-        r.passes.control_dep,
-        r.passes.value_rel,
-    ));
-    out.push_str(&format!(
-        "cache: mapping {} hit(s)/{} run(s), summary {} hit(s)/{} run(s), \
-         taint {} hit(s)/{} run(s), react {} hit(s)/{} run(s)\n",
-        r.passes.mapping_cache_hits,
-        r.passes.mapping_extractions,
-        r.passes.summary_cache_hits,
-        r.passes.summary_runs,
-        r.passes.taint_cache_hits,
-        r.passes.taint_runs,
-        r.passes.react_cache_hits,
-        r.passes.react_runs,
-    ));
-    out
+        r.params_reinferred,
+        r.params_total,
+        r.constraints_added,
+        r.constraints_removed,
+        passes.join(", "),
+        cache.join(", "),
+    )
 }

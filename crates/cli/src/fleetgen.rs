@@ -1,7 +1,7 @@
 //! `spex fleet-gen` — materialize the deterministic synthetic fleet
 //! (`spex::systems::fleet`) on disk as a source tree plus a deployment
 //! config corpus. This is the fixture generator the CI smoke tests and
-//! the `shard` byte-identity checks run against.
+//! the e2e byte-identity checks run against.
 
 use std::path::PathBuf;
 

@@ -1,13 +1,12 @@
 //! The `spex` command line — SPEX (SOSP 2013, "Do not blame users for
 //! misconfigurations") as a tool operators actually run: one-shot
-//! analysis and checking, sharded fleet ingestion, a warm check daemon,
-//! and an incremental watch loop.
+//! analysis and checking (scaled across cores with `--threads`), a warm
+//! check daemon, and an incremental watch loop.
 //!
 //! Exit codes are part of the contract: `0` clean, `1` errors (invalid
 //! values, unreadable or unvalidated files), `2` warnings only, `3`
-//! usage or operational failure. `analyze`, `db merge`, `shard` and
-//! `fleet-gen` return `0`/`3`; `check` and `react` surface the report's
-//! verdict.
+//! usage or operational failure. `analyze`, `db merge` and `fleet-gen`
+//! return `0`/`3`; `check` and `react` surface the report's verdict.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -18,7 +17,6 @@ mod daemon;
 mod dbcmd;
 mod driver;
 mod fleetgen;
-mod shard;
 mod watch;
 
 /// Top-level usage. Golden-tested: `spex --help` must print exactly this.
@@ -33,7 +31,6 @@ SUBCOMMANDS:
     check        Validate configuration files against a constraint database
     react        Predict how the system would react to invalid values
     db merge     Merge constraint databases, tightest constraint wins
-    shard        Analyze modules across worker processes, merge the shards
     daemon       Warm workspace answering JSON-Lines requests (stdio/socket)
     watch        Re-analyze and re-check on file changes (mtime polling)
     fleet-gen    Materialize the synthetic fleet corpus as fixtures
@@ -81,19 +78,6 @@ fn sub_help(cmd: &str) -> Option<&'static str> {
              Merge constraint databases in argument order; on conflicting\n\
              constraints for one parameter the tightest wins. Prints the merge\n\
              report and persists the result.\n"
-        }
-        "shard" => {
-            "USAGE: spex shard --db PATH [OPTIONS] SRC...\n\
-             Partition the module set round-robin across worker processes (each\n\
-             `spex analyze --quiet`), then merge the per-worker databases.\n\n\
-             OPTIONS:\n\
-             \x20   --db PATH        Merged database output (required)\n\
-             \x20   --workers N      Worker process count [default: 4]\n\
-             \x20   --jobs N         Inference threads per worker [default: all cores]\n\
-             \x20   --system NAME    Subject-system name [default: spex]\n\
-             \x20   --dialect D      key-value | directive | space [default: key-value]\n\
-             \x20   --self-check     Also analyze single-process in-process and fail\n\
-             \x20                    unless the merged database is byte-identical\n"
         }
         "daemon" => {
             "USAGE: spex daemon (--stdio | --socket PATH) [OPTIONS]\n\
@@ -175,7 +159,6 @@ fn main() {
         "check" => checkcmd::run(rest.into_iter()),
         "react" => analyze::run_react(rest.into_iter()),
         "db" => dbcmd::run(rest.into_iter()),
-        "shard" => shard::run(rest.into_iter()),
         "daemon" => daemon::run(rest.into_iter()),
         "watch" => watch::run(rest.into_iter()),
         "fleet-gen" => fleetgen::run(rest.into_iter()),

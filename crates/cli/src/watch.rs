@@ -8,10 +8,9 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use crate::driver::{
-    collect_sources, parse_color, parse_dialect, parse_format, render_reanalyze, render_report,
-    value_of, CliError, CliResult, OutFormat,
+    collect_sources, parse_color, parse_format, render_reanalyze, render_report, value_of,
+    CliError, CliResult, OutFormat, WorkspaceOpts,
 };
-use spex::conf::Dialect;
 use spex::{ColorMode, Workspace};
 
 /// A poll snapshot: every watched file's (mtime, length). Two equal
@@ -20,9 +19,7 @@ type Snapshot = BTreeMap<PathBuf, (u128, u64)>;
 
 /// Runs `spex watch`.
 pub fn run(mut args: std::vec::IntoIter<String>) -> CliResult {
-    let mut system = String::from("spex");
-    let mut dialect = Dialect::KeyValue;
-    let mut threads = 0usize;
+    let mut opts = WorkspaceOpts::default();
     let mut src: Vec<PathBuf> = Vec::new();
     let mut conf: Vec<PathBuf> = Vec::new();
     let mut poll_ms = 200u64;
@@ -31,17 +28,12 @@ pub fn run(mut args: std::vec::IntoIter<String>) -> CliResult {
     let mut format = OutFormat::Human;
     let mut color = ColorMode::Auto;
     while let Some(arg) = args.next() {
+        if opts.parse_flag(&arg, &mut args)? {
+            continue;
+        }
         match arg.as_str() {
             "--src" => src.push(PathBuf::from(value_of("--src", &mut args)?)),
             "--conf" => conf.push(PathBuf::from(value_of("--conf", &mut args)?)),
-            "--system" => system = value_of("--system", &mut args)?,
-            "--dialect" => dialect = parse_dialect(&value_of("--dialect", &mut args)?)?,
-            "--threads" => {
-                let v = value_of("--threads", &mut args)?;
-                threads = v
-                    .parse()
-                    .map_err(|_| CliError(format!("--threads: not a number: {v:?}")))?;
-            }
             "--poll-ms" => {
                 let v = value_of("--poll-ms", &mut args)?;
                 poll_ms = v
@@ -69,10 +61,7 @@ pub fn run(mut args: std::vec::IntoIter<String>) -> CliResult {
         return Err(CliError("watch needs at least one --src".into()));
     }
 
-    let mut ws = Workspace::new(&system, dialect);
-    if threads > 0 {
-        ws = ws.with_threads(threads);
-    }
+    let mut ws = opts.workspace(None);
     // Last-seen text per module, to decide update vs add and to avoid
     // needless full re-inference when only a source (not its
     // annotations) changed.
@@ -132,6 +121,7 @@ fn apply(
             annotations.remove(&name);
         }
     }
+    let mut added = Vec::new();
     for s in &sources {
         match annotations.get(&s.name) {
             Some(prev) => {
@@ -141,11 +131,12 @@ fn apply(
                     annotations.insert(s.name.clone(), s.annotations.clone());
                 }
             }
-            None => {
-                ws.add_module(s.name.clone(), &s.source, &s.annotations)?;
-                annotations.insert(s.name.clone(), s.annotations.clone());
-            }
+            None => added.push((&s.name, &s.source, &s.annotations)),
         }
+    }
+    ws.add_modules(&added)?;
+    for (name, _, text) in added {
+        annotations.insert(name.clone(), text.clone());
     }
     let report = ws.reanalyze();
     let mut stdout = std::io::stdout().lock();

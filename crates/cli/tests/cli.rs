@@ -2,8 +2,8 @@
 //! (`CARGO_BIN_EXE_spex`): golden help/version output, the 0/1/2/3 exit
 //! code contract, color toggles, daemon round-trips (including the
 //! byte-identity guarantee against one-shot `check --format jsonl` and
-//! the incremental pass-cache counters), shard byte-identity, db merge,
-//! load-error context, and the watch loop.
+//! the incremental pass-cache counters), db merge, load-error context,
+//! and the watch loop.
 
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -137,7 +137,6 @@ fn help_and_version_are_golden() {
         "check",
         "react",
         "db merge",
-        "shard",
         "daemon",
         "watch",
         "fleet-gen",
@@ -158,9 +157,12 @@ fn help_and_version_are_golden() {
         format!("spex {}\n", env!("CARGO_PKG_VERSION"))
     );
 
+    assert!(!text.contains("shard"), "--help still lists shard:\n{text}");
+
     // No arguments / unknown subcommands are usage failures: exit 3,
-    // usage on stderr, nothing on stdout.
-    for args in [&[][..], &["frobnicate"][..]] {
+    // usage on stderr, nothing on stdout. `shard` is gone: `--threads`
+    // scales analysis, `db merge` combines databases analyzed apart.
+    for args in [&[][..], &["frobnicate"][..], &["shard"][..]] {
         let out = bin().args(args).output().unwrap();
         assert_eq!(out.status.code(), Some(3));
         assert!(stdout_str(&out).is_empty());
@@ -173,7 +175,6 @@ fn help_and_version_are_golden() {
         "check",
         "react",
         "db",
-        "shard",
         "daemon",
         "watch",
         "fleet-gen",
@@ -594,54 +595,6 @@ fn daemon_second_analyze_reinfers_only_dirty_parameters() {
 }
 
 #[test]
-fn shard_matches_single_process_byte_for_byte() {
-    let s = Scratch::new("shard");
-    let fleet = s.path("fleet");
-    let out = bin()
-        .args(["fleet-gen", "--modules", "6", "--out"])
-        .arg(&fleet)
-        .output()
-        .unwrap();
-    assert!(out.status.success(), "fleet-gen: {}", stderr_str(&out));
-
-    let single = s.path("single.spexdb");
-    let out = bin()
-        .args(["analyze", "--quiet", "--system", "fleet", "--db"])
-        .arg(&single)
-        .arg(fleet.join("src"))
-        .output()
-        .unwrap();
-    assert!(out.status.success(), "analyze: {}", stderr_str(&out));
-
-    let sharded = s.path("sharded.spexdb");
-    let out = bin()
-        .args([
-            "shard",
-            "--workers",
-            "3",
-            "--system",
-            "fleet",
-            "--self-check",
-            "--db",
-        ])
-        .arg(&sharded)
-        .arg(fleet.join("src"))
-        .output()
-        .unwrap();
-    assert!(out.status.success(), "shard: {}", stderr_str(&out));
-    assert!(
-        stdout_str(&out).contains("self-check: byte-identical"),
-        "no self-check line: {}",
-        stdout_str(&out)
-    );
-    assert_eq!(
-        std::fs::read(&single).unwrap(),
-        std::fs::read(&sharded).unwrap(),
-        "sharded db differs from single-process db"
-    );
-}
-
-#[test]
 fn db_merge_halves_reproduces_the_whole() {
     let s = Scratch::new("merge");
     let fleet = s.path("fleet");
@@ -742,6 +695,33 @@ fn operational_failures_name_the_problem_and_exit_3() {
         .unwrap();
     assert_eq!(out.status.code(), Some(3));
     assert!(stderr_str(&out).contains("dialect"));
+
+    // `--threads 0` is a usage error wherever the flag is accepted (it
+    // never silently means "the default"). `watch` gets a missing source
+    // so that accepting the flag fails on the message, not by hanging.
+    let src = s.write("src/x.c", "int x = 1;\n");
+    let src_dir = src.parent().unwrap().to_str().unwrap();
+    let missing = s.path("missing");
+    let missing = missing.to_str().unwrap();
+    for args in [
+        &["analyze", "--threads", "0", src_dir][..],
+        &["react", "--threads", "0", src_dir][..],
+        &["watch", "--src", missing, "--threads", "0"][..],
+        &["daemon", "--stdio", "--threads", "0"][..],
+    ] {
+        let out = bin().args(args).stdin(Stdio::null()).output().unwrap();
+        assert_eq!(out.status.code(), Some(3), "{args:?}");
+        assert!(
+            stderr_str(&out).contains("--threads: must be at least 1"),
+            "{args:?}: {}",
+            stderr_str(&out)
+        );
+        assert!(
+            stdout_str(&out).is_empty(),
+            "{args:?}: {}",
+            stdout_str(&out)
+        );
+    }
 }
 
 #[test]

@@ -47,47 +47,115 @@ pub struct ParamReport {
     pub stale: bool,
 }
 
-/// How many times each inference pass ran during one analysis, and how the
-/// pass-level cache fared.
-///
-/// The per-parameter passes (basic type, semantic type, data range) count
-/// one invocation per parameter they processed; the whole-module passes
-/// (control dependency, value relationship) count one invocation per run.
-/// The cache counters record, for the expensive intermediate artifacts
-/// (config-mapping extraction and per-parameter taint slices), how many
-/// were recomputed versus served from a [`PassCache`]. Incremental callers
-/// use these to assert that a scoped re-analysis did proportionally less
-/// work than a full one.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PassCounts {
-    /// Basic-type pass invocations (per parameter).
-    pub basic_type: usize,
-    /// Semantic-type pass invocations (per parameter).
-    pub semantic_type: usize,
-    /// Data-range pass invocations (per parameter).
-    pub range: usize,
-    /// Control-dependency pass invocations (per run).
-    pub control_dep: usize,
-    /// Value-relationship pass invocations (per run).
-    pub value_rel: usize,
-    /// Mapping extractions that actually ran (per analysis).
-    pub mapping_extractions: usize,
-    /// Mapping extractions answered from the cache (per analysis).
-    pub mapping_cache_hits: usize,
-    /// Taint-slice computations that actually ran (per parameter).
-    pub taint_runs: usize,
-    /// Taint slices reused from the cache (per parameter).
-    pub taint_cache_hits: usize,
-    /// Reaction classifications that actually ran (per parameter). The
-    /// reaction pass lives downstream in `spex-react`; the workspace layer
-    /// accounts for it here so one struct carries the whole story.
-    pub react_runs: usize,
-    /// Reaction findings reused for stale slices (per parameter).
-    pub react_cache_hits: usize,
-    /// Function summaries (re)computed (per function).
-    pub summary_runs: usize,
-    /// Function summaries reused from the cache (per function).
-    pub summary_cache_hits: usize,
+/// What one [`PassCounts`] field counts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CountKind {
+    /// Invocations of one inference pass.
+    Pass,
+    /// Artifacts of one cached kind that were computed.
+    Runs,
+    /// Artifacts of one cached kind served from the cache.
+    Hits,
+}
+
+/// One row of [`PassCounts::FIELDS`]: everything that prints, publishes
+/// or sums a counter reads it from here.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CountField {
+    /// The field's name, which is also its key in daemon replies.
+    pub name: &'static str,
+    /// The pass or cached artifact it counts, as summaries print it. A
+    /// [`CountKind::Runs`] row and a [`CountKind::Hits`] row share the
+    /// label of their artifact.
+    pub label: &'static str,
+    /// What it counts.
+    pub kind: CountKind,
+    /// The telemetry counter it is published as.
+    pub metric: &'static str,
+}
+
+/// Declares [`PassCounts`] and its field table from one list of
+/// `field: Kind("label", "metric")` rows.
+macro_rules! pass_counts {
+    (
+        $(#[$meta:meta])*
+        pub struct PassCounts {
+            $($(#[$fmeta:meta])* $field:ident: $kind:ident($label:literal, $metric:literal),)+
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct PassCounts {
+            $($(#[$fmeta])* pub $field: usize,)+
+        }
+
+        impl PassCounts {
+            /// One row per field, in declaration order.
+            pub const FIELDS: &'static [CountField] = &[$(CountField {
+                name: stringify!($field),
+                label: $label,
+                kind: CountKind::$kind,
+                metric: $metric,
+            },)+];
+
+            /// Every field's row with its value, in declaration order.
+            pub fn entries(&self) -> impl Iterator<Item = (&'static CountField, usize)> {
+                Self::FIELDS.iter().zip([$(self.$field,)+])
+            }
+
+            fn values_mut(&mut self) -> impl Iterator<Item = &mut usize> + '_ {
+                [$(&mut self.$field,)+].into_iter()
+            }
+        }
+    };
+}
+
+pass_counts! {
+    /// How many times each inference pass ran during one analysis, and how
+    /// the pass-level cache fared.
+    ///
+    /// The per-parameter passes (basic type, semantic type, data range)
+    /// count one invocation per parameter they processed; the whole-module
+    /// passes (control dependency, value relationship) count one invocation
+    /// per run. The cache counters record, for the expensive intermediate
+    /// artifacts (config-mapping extraction, function summaries,
+    /// per-parameter taint slices and reaction verdicts), how many were
+    /// recomputed versus served from a [`PassCache`]. Incremental callers
+    /// use these to assert that a scoped re-analysis did proportionally
+    /// less work than a full one. [`PassCounts::FIELDS`] describes every
+    /// field; each cached artifact has a `Runs` row followed by its `Hits`
+    /// row.
+    pub struct PassCounts {
+        /// Basic-type pass invocations (per parameter).
+        basic_type: Pass("basic", "infer.pass.basic_type"),
+        /// Semantic-type pass invocations (per parameter).
+        semantic_type: Pass("semantic", "infer.pass.semantic_type"),
+        /// Data-range pass invocations (per parameter).
+        range: Pass("range", "infer.pass.range"),
+        /// Control-dependency pass invocations (per run).
+        control_dep: Pass("control-dep", "infer.pass.control_dep"),
+        /// Value-relationship pass invocations (per run).
+        value_rel: Pass("value-rel", "infer.pass.value_rel"),
+        /// Mapping extractions that actually ran (per analysis).
+        mapping_extractions: Runs("mapping", "infer.cache.mapping.misses"),
+        /// Mapping extractions answered from the cache (per analysis).
+        mapping_cache_hits: Hits("mapping", "infer.cache.mapping.hits"),
+        /// Function summaries (re)computed (per function).
+        summary_runs: Runs("summary", "infer.summary.runs"),
+        /// Function summaries reused from the cache (per function).
+        summary_cache_hits: Hits("summary", "infer.summary.hits"),
+        /// Taint-slice computations that actually ran (per parameter).
+        taint_runs: Runs("taint", "infer.cache.taint.misses"),
+        /// Taint slices reused from the cache (per parameter).
+        taint_cache_hits: Hits("taint", "infer.cache.taint.hits"),
+        /// Reaction classifications that actually ran (per parameter). The
+        /// reaction pass lives downstream in `spex-react`; the workspace
+        /// layer accounts for it here so one struct carries the whole
+        /// story.
+        react_runs: Runs("react", "react.cache.misses"),
+        /// Reaction findings reused for stale slices (per parameter).
+        react_cache_hits: Hits("react", "react.cache.hits"),
+    }
 }
 
 impl PassCounts {
@@ -104,50 +172,25 @@ impl PassCounts {
         (total > 0).then(|| hits as f64 / total as f64)
     }
 
-    /// Publishes the counts into the installed telemetry recorder (no-op
-    /// when telemetry is disabled): one `infer.pass.*` counter per
-    /// inference pass and the `infer.cache.{mapping,taint}.{hits,misses}`
-    /// cache counters.
+    /// Publishes every non-zero count into the installed telemetry
+    /// recorder as its field's [`metric`](CountField::metric) counter
+    /// (no-op when telemetry is disabled).
     pub fn record_metrics(&self) {
         if !spex_obs::enabled() {
             return;
         }
-        for (name, value) in [
-            ("infer.pass.basic_type", self.basic_type),
-            ("infer.pass.semantic_type", self.semantic_type),
-            ("infer.pass.range", self.range),
-            ("infer.pass.control_dep", self.control_dep),
-            ("infer.pass.value_rel", self.value_rel),
-            ("infer.cache.mapping.hits", self.mapping_cache_hits),
-            ("infer.cache.mapping.misses", self.mapping_extractions),
-            ("infer.cache.taint.hits", self.taint_cache_hits),
-            ("infer.cache.taint.misses", self.taint_runs),
-            ("react.cache.hits", self.react_cache_hits),
-            ("react.cache.misses", self.react_runs),
-            ("infer.summary.hits", self.summary_cache_hits),
-            ("infer.summary.runs", self.summary_runs),
-        ] {
+        for (field, value) in self.entries() {
             if value > 0 {
-                spex_obs::counter(name, value as u64);
+                spex_obs::counter(field.metric, value as u64);
             }
         }
     }
 
     /// Accumulates another run's counts.
     pub fn accumulate(&mut self, other: &PassCounts) {
-        self.basic_type += other.basic_type;
-        self.semantic_type += other.semantic_type;
-        self.range += other.range;
-        self.control_dep += other.control_dep;
-        self.value_rel += other.value_rel;
-        self.mapping_extractions += other.mapping_extractions;
-        self.mapping_cache_hits += other.mapping_cache_hits;
-        self.taint_runs += other.taint_runs;
-        self.taint_cache_hits += other.taint_cache_hits;
-        self.react_runs += other.react_runs;
-        self.react_cache_hits += other.react_cache_hits;
-        self.summary_runs += other.summary_runs;
-        self.summary_cache_hits += other.summary_cache_hits;
+        for (mine, (_, theirs)) in self.values_mut().zip(other.entries()) {
+            *mine += theirs;
+        }
     }
 }
 
@@ -1066,5 +1109,29 @@ mod tests {
             readable.contains("ft_min_word_len") && readable.contains("ft_max_word_len"),
             "got {readable}"
         );
+    }
+
+    #[test]
+    fn pass_count_table_pairs_each_cached_artifact_and_sums_every_field() {
+        let fields = PassCounts::FIELDS;
+        let names: BTreeSet<&str> = fields.iter().map(|f| f.name).collect();
+        assert_eq!(names.len(), fields.len(), "field names are unique");
+        for (i, f) in fields.iter().enumerate() {
+            match f.kind {
+                CountKind::Pass => assert!(f.metric.starts_with("infer.pass."), "{f:?}"),
+                CountKind::Runs => {
+                    let hits = fields.get(i + 1).expect("a Runs row has a Hits row");
+                    assert_eq!((hits.kind, hits.label), (CountKind::Hits, f.label));
+                }
+                CountKind::Hits => assert_eq!(fields[i - 1].kind, CountKind::Runs, "{f:?}"),
+            }
+        }
+
+        let mut ones = PassCounts::default();
+        ones.values_mut().for_each(|v| *v = 1);
+        let mut sum = ones;
+        sum.accumulate(&ones);
+        assert!(sum.entries().all(|(_, v)| v == 2), "{sum:?}");
+        assert_eq!(sum.entries().count(), fields.len());
     }
 }

@@ -58,5 +58,7 @@ pub use constraint::{
 pub use fingerprint::{
     diff_fingerprints, function_fingerprints, header_fingerprint, FingerprintDiff,
 };
-pub use infer::{Incremental, ParamReport, PassCache, PassCounts, Spex, SpexAnalysis};
+pub use infer::{
+    CountField, CountKind, Incremental, ParamReport, PassCache, PassCounts, Spex, SpexAnalysis,
+};
 pub use mapping::MappedParam;

@@ -227,7 +227,8 @@ impl Drop for SpanGuard {
 }
 
 /// Formats `name{k=v,...}` for a labelled span (enabled path only; counts
-/// against [`probe::thread_labels_allocated`]).
+/// against [`probe::thread_labels_allocated`]). Values are escaped with
+/// `LabelValue`, so a label can never split the `/`-joined span path.
 #[doc(hidden)]
 pub fn format_label(name: &str, fields: &[(&str, &dyn std::fmt::Display)]) -> String {
     probe::note_label_allocated();
@@ -238,16 +239,35 @@ pub fn format_label(name: &str, fields: &[(&str, &dyn std::fmt::Display)]) -> St
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "{k}={v}");
+        let _ = write!(out, "{k}=");
+        let _ = write!(LabelValue(&mut out), "{v}");
     }
     out.push('}');
     out
 }
 
+/// Writes a span label value with `%` escaped as `%25` and `/` as `%2F`:
+/// a value such as a file path stays one component of its span path.
+struct LabelValue<'a>(&'a mut String);
+
+impl std::fmt::Write for LabelValue<'_> {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        for c in s.chars() {
+            match c {
+                '%' => self.0.push_str("%25"),
+                '/' => self.0.push_str("%2F"),
+                c => self.0.push(c),
+            }
+        }
+        Ok(())
+    }
+}
+
 /// Opens a span, optionally labelled: `span!("infer.param", name = p)`
-/// yields the path component `infer.param{name=threads}`. Labels are
-/// formatted only when telemetry is enabled — the disabled arm is a
-/// branch and an inert guard.
+/// yields the path component `infer.param{name=threads}`, and a value
+/// `etc/a.conf` yields `{file=etc%2Fa.conf}`. Labels are formatted only
+/// when telemetry is enabled — the disabled arm is a branch and an inert
+/// guard.
 #[macro_export]
 macro_rules! span {
     ($name:expr) => {

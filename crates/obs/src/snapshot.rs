@@ -280,6 +280,45 @@ mod tests {
     }
 
     #[test]
+    fn a_label_with_slashes_stays_one_node() {
+        let rec = Arc::new(Recorder::new());
+        {
+            let _g = install(&rec);
+            let _a = span("workspace.reanalyze");
+            let _b = span!("workspace.module", module = "fleet/src/m0000.c");
+            let _c = span!("check.file", file = "50%/x");
+        }
+        let snap = rec.snapshot();
+        let module = "workspace.reanalyze/workspace.module{module=fleet%2Fsrc%2Fm0000.c}";
+        assert_eq!(snap.span(module).map(|s| s.count), Some(1));
+        assert!(snap
+            .span(&format!("{module}/check.file{{file=50%25%2Fx}}"))
+            .is_some());
+        assert_eq!(snap.span_count("workspace.module"), 1);
+        assert_eq!(snap.span_count("check.file"), 1);
+
+        let text = snap.render_text();
+        let depths: Vec<(usize, &str)> = text
+            .lines()
+            .skip(1)
+            .map_while(|l| l.strip_prefix("  "))
+            .map(|l| {
+                let name = l.trim_start();
+                (l.len() - name.len(), name.split("  ").next().unwrap())
+            })
+            .collect();
+        assert_eq!(
+            depths,
+            [
+                (0, "workspace.reanalyze"),
+                (2, "workspace.module{module=fleet%2Fsrc%2Fm0000.c}"),
+                (4, "check.file{file=50%25%2Fx}"),
+            ],
+            "{text}"
+        );
+    }
+
+    #[test]
     fn empty_snapshot_renders_placeholder() {
         let snap = crate::TelemetrySnapshot::default();
         assert!(snap.is_empty());

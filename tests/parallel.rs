@@ -12,6 +12,7 @@ use spex::conf::Dialect;
 use spex::core::infer::PassCounts;
 use spex::systems::fleet::{generate_fleet, FleetSpec};
 use spex::systems::BuiltSystem;
+use spex::JsonLinesRenderer;
 
 /// Cold-analyzes one catalog system, applies a warm probe edit, and
 /// returns the persisted database bytes plus pass counters of both
@@ -69,8 +70,10 @@ fn catalog_analysis_is_byte_identical_across_thread_counts() {
 }
 
 /// Module-granularity fan-out: a workspace holding many small modules
-/// (the fleet regime) persists the same bytes however its dirty modules
-/// land on workers.
+/// (the fleet regime) persists the same bytes and the same reaction
+/// verdicts however its dirty modules land on workers, and whether its
+/// modules arrive one `add_module` at a time or as one `add_modules`
+/// batch whose front ends run on the pool.
 #[test]
 fn fleet_workspace_is_byte_identical_across_thread_counts() {
     let spec = FleetSpec {
@@ -79,18 +82,42 @@ fn fleet_workspace_is_byte_identical_across_thread_counts() {
         seed: 0xf1ee7,
     };
     let fleet = generate_fleet(&spec);
-    let run = |threads: usize| {
+    let run = |threads: usize, batch: bool| {
         let mut ws = Workspace::new("Fleet", Dialect::KeyValue).with_threads(threads);
-        for m in &fleet {
-            ws.add_module(&m.name, &m.source, &m.annotations).unwrap();
+        if batch {
+            let modules: Vec<_> = fleet
+                .iter()
+                .map(|m| (&m.name, &m.source, &m.annotations))
+                .collect();
+            ws.add_modules(&modules).unwrap();
+        } else {
+            for m in &fleet {
+                ws.add_module(&m.name, &m.source, &m.annotations).unwrap();
+            }
         }
         let report = ws.reanalyze();
-        (ws.db().save_to_string(), report.passes, report.params_total)
+        (
+            ws.db().save_to_string(),
+            report.passes,
+            report.params_total,
+            ws.reaction_report().render(&JsonLinesRenderer),
+        )
     };
-    let baseline = run(1);
+    let baseline = run(1, false);
     assert!(baseline.2 > 0, "the fleet must yield parameters");
-    for threads in [2, 8] {
-        assert_eq!(run(threads), baseline, "at {threads} threads");
+    assert!(
+        baseline.1.react_runs > 0,
+        "the fleet must classify reactions"
+    );
+    for threads in [1, 2, 8] {
+        assert_eq!(
+            run(threads, true),
+            baseline,
+            "add_modules at {threads} threads"
+        );
+        if threads > 1 {
+            assert_eq!(run(threads, false), baseline, "at {threads} threads");
+        }
     }
 }
 

@@ -174,3 +174,36 @@ fn pool_metrics_count_jobs_deterministically() {
         .expect("queue depth sampled");
     assert_eq!(depth.count, 16, "one sample per job grab");
 }
+
+/// The reaction counters are published once, from the same counts the
+/// report carries: a cold run classifies every parameter (all misses),
+/// and a warm run after an isolated edit serves the stale slices' verdicts
+/// from the cache. Two modules, so the pool path is the one measured.
+#[test]
+fn react_cache_counters_match_the_report_once() {
+    let aux = BASE.replace("threads", "workers").replace("nap", "pause");
+    let mut ws = Workspace::new("Test", Dialect::KeyValue).with_threads(2);
+    ws.enable_telemetry();
+    ws.add_modules(&[("main.c", BASE, ANN), ("aux.c", aux.as_str(), ANN)])
+        .unwrap();
+    let cold = ws.reanalyze();
+    let snap = ws.telemetry();
+    assert_eq!(cold.passes.react_runs, 4, "every parameter is classified");
+    assert_eq!(cold.passes.react_cache_hits, 0);
+    assert_eq!(snap.counter("react.cache.misses"), 4);
+    assert_eq!(snap.counter("react.cache.hits"), 0);
+
+    let probed = format!("{BASE}\nvoid probe() {{ exit(1); }}\n");
+    ws.update_module("main.c", &probed).unwrap();
+    let warm = ws.reanalyze();
+    assert!(warm.passes.react_cache_hits > 0, "{:?}", warm.passes);
+    let snap = ws.telemetry();
+    assert_eq!(
+        snap.counter("react.cache.misses"),
+        (cold.passes.react_runs + warm.passes.react_runs) as u64
+    );
+    assert_eq!(
+        snap.counter("react.cache.hits"),
+        warm.passes.react_cache_hits as u64
+    );
+}
