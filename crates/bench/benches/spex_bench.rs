@@ -5,9 +5,10 @@
 //! * `frontend` — lexing/parsing/lowering throughput on generated systems;
 //! * `inference` — full constraint inference per system (Table 11's
 //!   workload);
-//! * `injection` — SPEX-INJ campaign over one system (Table 5's workload),
+//! * `inject` — SPEX-INJ campaign over one system (Table 5's workload),
 //!   including the §3.1 optimization ablation (stop-at-first-failure and
-//!   shortest-test-first on/off);
+//!   shortest-test-first on/off), and a Storage-A campaign whose runs
+//!   resume from the pristine config prefix;
 //! * `mapping` — the annotation toolkits alone;
 //! * `summaries` — interprocedural function summaries: cold whole-module
 //!   evaluation vs warm SCC-incremental reuse after a one-function edit;
@@ -115,10 +116,42 @@ fn bench_injection(r: &Runner) {
         ),
     ];
     for (label, options) in variants {
-        r.bench(&format!("injection/campaign_openldap_{label}"), || {
+        r.bench(&format!("inject/campaign_openldap_{label}"), || {
             let campaign = InjectionCampaign::new(make_target(&built)).with_options(options);
             black_box(campaign.run(slice))
         });
+    }
+
+    // Storage-A has the longest config phase (125 settings): one campaign
+    // walks the template once and resumes each run from the first setting
+    // it changes. The self-check asserts the batch equals one-at-a-time
+    // `run_one` calls, each of which walks its own prefix.
+    const SAMPLE: usize = 40;
+    let name = format!("inject/campaign_storage_a_x{SAMPLE}");
+    if r.selected(&name) {
+        let built = BuiltSystem::build(spex_systems::system_by_name("Storage-A").unwrap());
+        let anns = Annotation::parse(&built.gen.annotations).unwrap();
+        let analysis = Spex::analyze(built.module.clone(), &anns);
+        let constraints: Vec<_> = analysis.all_constraints().cloned().collect();
+        let misconfigs = genrule::generate_all(&standard_rules(), &constraints);
+        let step = (misconfigs.len() / SAMPLE).max(1);
+        let sample: Vec<_> = misconfigs.into_iter().step_by(step).take(SAMPLE).collect();
+        let campaign = InjectionCampaign::new(make_target(&built));
+        r.bench(&name, || black_box(campaign.run(&sample)));
+        let batch = campaign.run(&sample);
+        let one_by_one: Vec<_> = sample.iter().map(|m| campaign.run_one(m)).collect();
+        assert_eq!(batch.len(), SAMPLE);
+        assert!(
+            batch == one_by_one,
+            "a campaign must equal its runs one by one"
+        );
+        println!(
+            "{name} self-check: OK ({SAMPLE} runs equal run_one, {} vulnerabilities)",
+            batch
+                .iter()
+                .filter(|o| o.reaction.is_vulnerability())
+                .count(),
+        );
     }
 }
 

@@ -1,13 +1,14 @@
 //! `spex analyze` — infer constraints from source and persist a database —
 //! and `spex react` — the static reaction-analysis report.
 
+use std::io::Write;
 use std::path::PathBuf;
 
 use crate::driver::{
     analyze_sources, collect_sources, parse_color, parse_format, render_reanalyze, render_report,
     value_of, CliError, CliResult, OutFormat, WorkspaceOpts,
 };
-use spex::ColorMode;
+use spex::{ColorMode, Workspace};
 
 /// Options shared by `analyze` and `react`: the workspace shape plus the
 /// source set.
@@ -79,6 +80,7 @@ pub fn run(args: std::vec::IntoIter<String>) -> CliResult {
     if opts.telemetry {
         print!("{}", ws.telemetry().render_text());
     }
+    leave_to_exit(ws);
     Ok(0)
 }
 
@@ -92,5 +94,16 @@ pub fn run_react(args: std::vec::IntoIter<String>) -> CliResult {
     if opts.telemetry {
         print!("{}", ws.telemetry().render_text());
     }
+    leave_to_exit(ws);
     Ok(report.exit_code())
+}
+
+/// Flushes stdout and leaves the workspace for the process exit to
+/// reclaim: dropping it piece by piece took 0.1–0.2 s of a 1.2 s
+/// `--threads 2` analysis of 2,048 fleet modules, and the subcommand ends
+/// right after.
+fn leave_to_exit(ws: Workspace) {
+    // Exit flushes stdout as well and ignores a failure the same way.
+    let _ = std::io::stdout().flush();
+    std::mem::forget(ws);
 }

@@ -1,15 +1,24 @@
 //! The injection-testing harness (§3.1).
 //!
-//! For each generated misconfiguration the harness builds a fresh world,
-//! feeds the mutated configuration file to the system's config entry point,
-//! runs startup, then drives the system's own functional test cases —
-//! shortest first, stopping at the first failure (the paper's two
-//! optimizations, both individually togglable for the ablation benchmark) —
-//! and classifies the observed reaction against Table 3.
+//! For each generated misconfiguration the harness feeds the mutated
+//! configuration file to the system's config entry point, runs startup,
+//! then drives the system's own functional test cases — shortest first,
+//! stopping at the first failure (the paper's two optimizations, both
+//! individually togglable for the ablation benchmark) — and classifies the
+//! observed reaction against Table 3.
+//!
+//! Runs resume from a pristine checkpoint rather than starting over.
+//! `ConfFile::set` replaces a key's first setting in place or appends the
+//! key, so every template setting before the first one a misconfiguration
+//! changes replays the pristine run exactly. A campaign walks one VM
+//! through the template once and runs each misconfiguration on a clone of
+//! it taken just before that setting. The clone carries the world, logs,
+//! step count and random stream, so every outcome equals that of a fresh
+//! world and VM fed the whole mutated file.
 
 use crate::genrule::Misconfig;
 use spex_conf::{ConfFile, Dialect};
-use spex_ir::Module;
+use spex_ir::{FuncId, Module};
 use spex_vm::{Signal, Value, Vm, VmHalt, World};
 use std::collections::HashMap;
 
@@ -108,7 +117,7 @@ impl Reaction {
 }
 
 /// Result of injecting one misconfiguration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunOutcome {
     /// What was injected.
     pub misconfig: Misconfig,
@@ -172,10 +181,50 @@ impl<'m> InjectionCampaign<'m> {
         &self.target
     }
 
-    /// Runs every misconfiguration and returns per-run outcomes.
+    /// Runs every misconfiguration and returns per-run outcomes, in input
+    /// order.
+    ///
+    /// The template is parsed and the entry points and test order are
+    /// resolved once. One pristine VM then walks the template's settings
+    /// in resume-point order, and each misconfiguration runs on a clone of
+    /// it from its first changed setting: the rest of its file, startup
+    /// and tests. If the pristine walk is itself refused or halts at a
+    /// setting, every misconfiguration resuming after it takes that
+    /// outcome. Each outcome equals that of a fresh world and VM.
     pub fn run(&self, misconfigs: &[Misconfig]) -> Vec<RunOutcome> {
         let _span = spex_obs::span("inject.campaign");
-        let outcomes: Vec<RunOutcome> = misconfigs.iter().map(|m| self.run_one(m)).collect();
+        let template = ConfFile::parse(&self.target.template_conf, self.target.dialect);
+        let settings: Vec<(&str, &str)> = template.settings().collect();
+        let injections: Vec<Injection<'_>> = misconfigs
+            .iter()
+            .map(|m| Injection::new(m, &template, &settings))
+            .collect();
+        let mut order: Vec<usize> = (0..injections.len()).collect();
+        order.sort_by_key(|&i| injections[i].resume);
+
+        let mut pristine = Vm::new(self.target.module, (self.target.world)());
+        let entries = Entries::resolve(&pristine, &self.target, self.options);
+        // Template settings the pristine VM has run, and how it stopped if
+        // one of them was refused or halted.
+        let mut walked = 0;
+        let mut stopped: Option<Exit> = None;
+        let mut outcomes: Vec<(usize, RunOutcome)> = Vec::with_capacity(order.len());
+        for i in order {
+            let run = &injections[i];
+            let _span = spex_obs::span!("inject.run", param = run.m.param);
+            while stopped.is_none() && walked < run.resume {
+                let (name, value) = settings[walked];
+                stopped = entries.configure(&mut pristine, name, value);
+                walked += 1;
+            }
+            let outcome = match &stopped {
+                Some(exit) => self.finish(run, &pristine, Phase::Config, exit.clone(), None, 0),
+                None => self.resume(run, &settings, &entries, pristine.clone()),
+            };
+            outcomes.push((i, outcome));
+        }
+        outcomes.sort_by_key(|(i, _)| *i);
+        let outcomes: Vec<RunOutcome> = outcomes.into_iter().map(|(_, o)| o).collect();
         if spex_obs::enabled() {
             spex_obs::counter("inject.injections", outcomes.len() as u64);
             spex_obs::counter(
@@ -189,59 +238,41 @@ impl<'m> InjectionCampaign<'m> {
         outcomes
     }
 
-    /// Runs a single misconfiguration end to end.
+    /// Runs a single misconfiguration end to end: [`run`](Self::run) of
+    /// one item.
     pub fn run_one(&self, m: &Misconfig) -> RunOutcome {
-        let _span = spex_obs::span!("inject.run", param = m.param);
-        let mut conf = ConfFile::parse(&self.target.template_conf, self.target.dialect);
-        conf.set(&m.param, &m.value);
-        for (p, v) in &m.also_set {
-            conf.set(p, v);
-        }
+        self.run(std::slice::from_ref(m))
+            .pop()
+            .expect("one outcome per misconfiguration")
+    }
 
-        let world = (self.target.world)();
-        let mut vm = Vm::new(self.target.module, world);
-        let mut cost_spent = 0u64;
-
-        // Phase 1: configuration.
-        for (name, value) in conf.settings() {
-            match vm.call(
-                &self.target.config_entry,
-                &[Value::str(name), Value::str(value)],
-            ) {
-                Ok(ret) => {
-                    if ret.as_int().unwrap_or(0) != 0 {
-                        // Parser rejected a setting: the system refuses to
-                        // start.
-                        return self.finish(m, &vm, Phase::Config, Exit::Refused, None, cost_spent);
-                    }
-                }
-                Err(halt) => {
-                    return self.finish(m, &vm, Phase::Config, Exit::Halt(halt), None, cost_spent)
-                }
+    /// Runs `run` on `vm`, the pristine VM after the template settings
+    /// before its resume point: the rest of its file, startup, then tests.
+    fn resume(
+        &self,
+        run: &Injection<'_>,
+        settings: &[(&str, &str)],
+        entries: &Entries<'_>,
+        mut vm: Vm<'_>,
+    ) -> RunOutcome {
+        // Phase 1: configuration, from the first changed setting on.
+        for (name, value) in run.settings_from_resume(settings) {
+            if let Some(exit) = entries.configure(&mut vm, name, value) {
+                return self.finish(run, &vm, Phase::Config, exit, None, 0);
             }
         }
 
         // Phase 2: startup.
-        match vm.call(&self.target.startup, &[]) {
-            Ok(ret) => {
-                if ret.as_int().unwrap_or(0) != 0 {
-                    return self.finish(m, &vm, Phase::Startup, Exit::Refused, None, cost_spent);
-                }
-            }
-            Err(halt) => {
-                return self.finish(m, &vm, Phase::Startup, Exit::Halt(halt), None, cost_spent)
-            }
+        if let Some(exit) = stops(&mut vm, &entries.startup, &[]) {
+            return self.finish(run, &vm, Phase::Startup, exit, None, 0);
         }
 
         // Phase 3: the system's own test suite.
-        let mut tests = self.target.tests.clone();
-        if self.options.sort_tests_by_cost {
-            tests.sort_by_key(|t| t.cost);
-        }
+        let mut cost_spent = 0u64;
         let mut first_failure: Option<String> = None;
-        for t in &tests {
+        for (t, f) in &entries.tests {
             cost_spent += t.cost as u64;
-            match vm.call(&t.func, &[]) {
+            match call(&mut vm, f, &[]) {
                 Ok(ret) => {
                     if ret.as_int().unwrap_or(0) != 0 && first_failure.is_none() {
                         first_failure = Some(t.name.clone());
@@ -252,7 +283,7 @@ impl<'m> InjectionCampaign<'m> {
                 }
                 Err(halt) => {
                     return self.finish(
-                        m,
+                        run,
                         &vm,
                         Phase::Test(t.name.clone()),
                         Exit::Halt(halt),
@@ -264,7 +295,7 @@ impl<'m> InjectionCampaign<'m> {
         }
         if let Some(failed) = first_failure {
             return self.finish(
-                m,
+                run,
                 &vm,
                 Phase::Test(failed.clone()),
                 Exit::TestFailed,
@@ -274,24 +305,21 @@ impl<'m> InjectionCampaign<'m> {
         }
 
         // Phase 4: everything passed — check for silent misbehaviour.
-        self.finish(m, &vm, Phase::Done, Exit::AllPassed, None, cost_spent)
+        self.finish(run, &vm, Phase::Done, Exit::AllPassed, None, cost_spent)
     }
 
     fn finish(
         &self,
-        m: &Misconfig,
+        run: &Injection<'_>,
         vm: &Vm<'_>,
         phase: Phase,
         exit: Exit,
         failed_test: Option<String>,
         cost_spent: u64,
     ) -> RunOutcome {
+        let m = run.m;
         let logs = vm.log_text();
-        let conf_line = {
-            let conf = ConfFile::parse(&self.target.template_conf, self.target.dialect);
-            conf.line_of(&m.param)
-        };
-        let pinpointed = pinpoints(&logs, m, conf_line);
+        let pinpointed = pinpoints(&logs, m, run.line);
 
         let reaction = match exit {
             Exit::Halt(VmHalt::Fatal(sig)) => Reaction::Crash(sig),
@@ -356,11 +384,126 @@ impl<'m> InjectionCampaign<'m> {
     }
 }
 
+#[derive(Clone)]
 enum Exit {
     Halt(VmHalt),
     Refused,
     TestFailed,
     AllPassed,
+}
+
+/// One misconfiguration laid over the template. `ConfFile::set` replaces
+/// a key's first setting in place or appends the key, so the mutated file
+/// is the template with `replaced` values, then `appended` settings.
+struct Injection<'a> {
+    m: &'a Misconfig,
+    /// The first template setting the misconfiguration changes, or the
+    /// template's setting count when it only appends keys.
+    resume: usize,
+    /// Replaced values, by template setting index.
+    replaced: Vec<(usize, &'a str)>,
+    /// Appended settings, in file order.
+    appended: Vec<(&'a str, &'a str)>,
+    /// The injected parameter's line in the template, for pinpointing.
+    line: Option<usize>,
+}
+
+impl<'a> Injection<'a> {
+    /// Lays `m` over `template`, whose settings are `settings`.
+    fn new(m: &'a Misconfig, template: &ConfFile, settings: &[(&str, &str)]) -> Injection<'a> {
+        let mut replaced: Vec<(usize, &str)> = Vec::new();
+        let mut appended: Vec<(&str, &str)> = Vec::new();
+        let sets =
+            std::iter::once((&m.param, &m.value)).chain(m.also_set.iter().map(|(p, v)| (p, v)));
+        for (name, value) in sets {
+            if let Some(at) = settings.iter().position(|&(n, _)| n == name) {
+                match replaced.iter_mut().find(|(i, _)| *i == at) {
+                    Some(r) => r.1 = value,
+                    None => replaced.push((at, value)),
+                }
+            } else {
+                match appended.iter_mut().find(|(n, _)| *n == name) {
+                    Some(a) => a.1 = value,
+                    None => appended.push((name, value)),
+                }
+            }
+        }
+        Injection {
+            m,
+            resume: replaced
+                .iter()
+                .map(|&(i, _)| i)
+                .min()
+                .unwrap_or(settings.len()),
+            replaced,
+            appended,
+            line: template.line_of(&m.param),
+        }
+    }
+
+    /// The mutated file's settings from the resume point on.
+    fn settings_from_resume<'s>(
+        &'s self,
+        template: &'s [(&'s str, &'s str)],
+    ) -> impl Iterator<Item = (&'s str, &'s str)> + 's {
+        let replaced = |i: usize| {
+            self.replaced
+                .iter()
+                .find(|&&(j, _)| j == i)
+                .map(|&(_, v)| v)
+        };
+        template[self.resume..]
+            .iter()
+            .zip(self.resume..)
+            .map(move |(&(name, value), i)| (name, replaced(i).unwrap_or(value)))
+            .chain(self.appended.iter().copied())
+    }
+}
+
+/// The functions a run calls, resolved once per campaign. A missing one
+/// keeps the error a call by name returns.
+struct Entries<'t> {
+    config: Result<FuncId, VmHalt>,
+    startup: Result<FuncId, VmHalt>,
+    /// The test suite, in run order.
+    tests: Vec<(&'t TestCase, Result<FuncId, VmHalt>)>,
+}
+
+impl<'t> Entries<'t> {
+    fn resolve(vm: &Vm<'_>, target: &'t TestTarget<'_>, options: CampaignOptions) -> Entries<'t> {
+        let mut tests: Vec<&TestCase> = target.tests.iter().collect();
+        if options.sort_tests_by_cost {
+            tests.sort_by_key(|t| t.cost);
+        }
+        Entries {
+            config: vm.resolve(&target.config_entry),
+            startup: vm.resolve(&target.startup),
+            tests: tests
+                .into_iter()
+                .map(|t| (t, vm.resolve(&t.func)))
+                .collect(),
+        }
+    }
+
+    /// Feeds one setting to the config entry point.
+    fn configure(&self, vm: &mut Vm<'_>, name: &str, value: &str) -> Option<Exit> {
+        stops(vm, &self.config, &[Value::str(name), Value::str(value)])
+    }
+}
+
+/// Calls `f`, or returns the error its name resolved to.
+fn call(vm: &mut Vm<'_>, f: &Result<FuncId, VmHalt>, args: &[Value]) -> Result<Value, VmHalt> {
+    vm.call_id(f.clone()?, args)
+}
+
+/// Calls a config or startup function: `None` when it returned 0, else
+/// how the system stopped (a nonzero return means it refused to start).
+fn stops(vm: &mut Vm<'_>, f: &Result<FuncId, VmHalt>, args: &[Value]) -> Option<Exit> {
+    match call(vm, f, args) {
+        Ok(ret) if ret.as_int().unwrap_or(0) != 0 => Some(Exit::Refused),
+        Ok(_) => None,
+        Err(halt) => Some(Exit::Halt(halt)),
+    }
 }
 
 /// Whether the captured logs pinpoint the misconfiguration: the injected

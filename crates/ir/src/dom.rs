@@ -17,7 +17,13 @@ pub struct DomTree {
     pub frontier: Vec<Vec<BlockId>>,
     /// Children in the dominator tree.
     pub children: Vec<Vec<BlockId>>,
+    /// Each block's preorder number in the dominator tree and the last
+    /// number inside its subtree (`UNNUMBERED` for unreachable blocks):
+    /// `a` dominates `b` iff `b`'s number falls in `a`'s interval.
+    interval: Vec<(u32, u32)>,
 }
+
+const UNNUMBERED: (u32, u32) = (u32::MAX, 0);
 
 impl DomTree {
     /// Computes dominators and frontiers for `f` using its CFG.
@@ -87,23 +93,21 @@ impl DomTree {
                 children[d.index()].push(BlockId(b as u32));
             }
         }
+        let interval = number(cfg.rpo.first().copied(), &children);
         DomTree {
             idom,
             frontier,
             children,
+            interval,
         }
     }
 
-    /// Whether `a` dominates `b` (reflexive).
+    /// Whether `a` dominates `b` (reflexive). Constant time; an
+    /// unreachable block dominates, and is dominated by, only itself.
     pub fn dominates(&self, a: BlockId, b: BlockId) -> bool {
-        let mut cur = Some(b);
-        while let Some(c) = cur {
-            if c == a {
-                return true;
-            }
-            cur = self.idom[c.index()];
-        }
-        false
+        let (first, last) = self.interval[a.index()];
+        let (at, _) = self.interval[b.index()];
+        a == b || (first <= at && at <= last)
     }
 
     /// Blocks dominating `b`, from `b` up to the entry (inclusive of `b`).
@@ -116,6 +120,36 @@ impl DomTree {
         }
         out
     }
+}
+
+/// Numbers the dominator tree under `root` in preorder with an explicit
+/// stack (a function of sequential `if`s makes the tree a chain as deep
+/// as the function is long): each block gets its own number and the last
+/// number of its subtree.
+fn number(root: Option<BlockId>, children: &[Vec<BlockId>]) -> Vec<(u32, u32)> {
+    let mut interval = vec![UNNUMBERED; children.len()];
+    let Some(root) = root else {
+        return interval;
+    };
+    let mut next = 0u32;
+    // (block, how many of its children have been entered)
+    let mut stack = vec![(root, 0usize)];
+    interval[root.index()].0 = next;
+    while let Some((b, entered)) = stack.last_mut() {
+        match children[b.index()].get(*entered) {
+            Some(&child) => {
+                *entered += 1;
+                next += 1;
+                interval[child.index()].0 = next;
+                stack.push((child, 0));
+            }
+            None => {
+                interval[b.index()].1 = next;
+                stack.pop();
+            }
+        }
+    }
+    interval
 }
 
 fn intersect(

@@ -4,7 +4,8 @@
 //! keeps globals, the modelled [`World`] and captured logs alive across
 //! calls, so an injection run can call the system's config handler, then
 //! its startup routine, then its functional tests, observing state
-//! in between.
+//! in between. No frame outlives a call, so a clone taken between calls
+//! is a checkpoint: it continues exactly as the original would.
 
 use crate::value::{LogLine, LogStream, RefTarget, Signal, Value};
 use crate::world::{FsNode, World};
@@ -38,6 +39,7 @@ impl std::fmt::Display for VmHalt {
     }
 }
 
+#[derive(Clone)]
 struct Frame {
     slots: Vec<Value>,
     regs: Vec<Option<Value>>,
@@ -45,6 +47,11 @@ struct Frame {
 }
 
 /// The interpreter.
+///
+/// Cloning copies the globals, world, logs, step count, rng and budgets,
+/// so a clone taken between calls resumes with the same state, the same
+/// hang budget left and the same random stream.
+#[derive(Clone)]
 pub struct Vm<'m> {
     module: &'m Module,
     /// The modelled OS.
@@ -84,10 +91,23 @@ impl<'m> Vm<'m> {
 
     /// Calls a function by name.
     pub fn call(&mut self, name: &str, args: &[Value]) -> Result<Value, VmHalt> {
-        let f = self
-            .module
+        let f = self.resolve(name)?;
+        self.call_id(f, args)
+    }
+
+    /// The function named `name`, resolved once for repeated
+    /// [`Vm::call_id`] calls (a name lookup scans every function).
+    pub fn resolve(&self, name: &str) -> Result<FuncId, VmHalt> {
+        self.module
             .function_by_name(name)
-            .ok_or_else(|| VmHalt::Internal(format!("no function `{name}`")))?;
+            .ok_or_else(|| VmHalt::Internal(format!("no function `{name}`")))
+    }
+
+    /// Calls a function by id.
+    ///
+    /// # Panics
+    /// Panics if `f` is not a function of this VM's module.
+    pub fn call_id(&mut self, f: FuncId, args: &[Value]) -> Result<Value, VmHalt> {
         // Telemetry is per-call, not per-instruction: the `steps` counter
         // is already maintained by the dispatch loop, so one delta here
         // keeps the interpreter's hot loop untouched.
@@ -1081,6 +1101,30 @@ mod tests {
             vm_for("int fib(int n) { if (n < 2) { return n; } return fib(n-1) + fib(n-2); }");
         let mut vm = Vm::new(&m, w);
         assert_eq!(vm.call("fib", &[Value::Int(10)]).unwrap(), Value::Int(55));
+    }
+
+    #[test]
+    fn a_clone_between_calls_continues_like_the_original() {
+        let (m, mut w) = vm_for(
+            "int counter = 0;
+             int roll() { counter += 1; printf(\"roll %d\", counter); return rand(); }",
+        );
+        w.add_file("/etc/app.conf", "x");
+        let mut vm = Vm::new(&m, w);
+        vm.call("roll", &[]).unwrap();
+        let mut copy = vm.clone();
+        let roll = vm.resolve("roll").unwrap();
+        for _ in 0..3 {
+            assert_eq!(copy.call_id(roll, &[]), vm.call("roll", &[]));
+        }
+        assert_eq!(copy.steps(), vm.steps());
+        assert_eq!(copy.logs, vm.logs);
+        assert_eq!(copy.global_value("counter"), Some(&Value::Int(4)));
+        assert_eq!(copy.world.fs, vm.world.fs);
+        assert_eq!(
+            vm.resolve("missing"),
+            Err(VmHalt::Internal("no function `missing`".into()))
+        );
     }
 
     #[test]

@@ -12,14 +12,43 @@
 use spex::check::{CheckSession, ConstraintDb, JsonLinesRenderer, Report, Severity, StaticEnv};
 use spex::core::{Annotation, DiagCode, Spex};
 use spex::inject::{genrule, standard_rules, Misconfig};
-use spex::systems::{all_systems, BuiltSystem};
+use spex::systems::{all_systems, BuiltSystem, SystemSpec};
+use std::sync::OnceLock;
+
+/// One catalog system, built and analysed once for every test here.
+struct Analysed {
+    built: BuiltSystem,
+    /// The database straight from the analysis.
+    inferred: ConstraintDb,
+    /// The database the checker runs from: every documented parameter
+    /// noted, then saved and loaded back.
+    db: ConstraintDb,
+    /// The deployment-environment model the checker needs.
+    env: StaticEnv,
+}
+
+/// The 7 catalog systems, analysed on first use.
+fn catalog() -> &'static [Analysed] {
+    static CATALOG: OnceLock<Vec<Analysed>> = OnceLock::new();
+    CATALOG.get_or_init(|| all_systems().into_iter().map(infer_and_persist).collect())
+}
+
+/// One system of the shared catalog.
+fn system(name: &str) -> &'static Analysed {
+    catalog()
+        .iter()
+        .find(|a| a.built.spec.name == name)
+        .unwrap_or_else(|| panic!("{name} is not a catalog system"))
+}
 
 /// Builds one system, runs inference once, and persists the constraints
 /// plus the deployment-environment model the checker needs.
-fn infer_and_persist(built: &BuiltSystem) -> (ConstraintDb, StaticEnv) {
+fn infer_and_persist(spec: SystemSpec) -> Analysed {
+    let built = BuiltSystem::build(spec);
     let anns = Annotation::parse(&built.gen.annotations).expect("annotations parse");
     let analysis = Spex::analyze(built.module.clone(), &anns);
-    let mut db = ConstraintDb::from_analysis(built.spec.name, built.gen.dialect, &analysis);
+    let inferred = ConstraintDb::from_analysis(built.spec.name, built.gen.dialect, &analysis);
+    let mut db = inferred.clone();
     // The full parameter universe is known from the system's documentation
     // (here: the spec); parameters inference did not reach are still legal
     // keys.
@@ -47,7 +76,12 @@ fn infer_and_persist(built: &BuiltSystem) -> (ConstraintDb, StaticEnv) {
     // The save/load round-trip is part of the contract: the checker runs
     // from the persisted form, never from the in-memory analysis.
     let db = ConstraintDb::load_from_str(&db.save_to_string()).expect("db round-trips");
-    (db, env)
+    Analysed {
+        built,
+        inferred,
+        db,
+        env,
+    }
 }
 
 /// Applies one generated misconfiguration to the template config.
@@ -62,11 +96,12 @@ fn corrupt(built: &BuiltSystem, m: &Misconfig) -> String {
 
 #[test]
 fn constraint_db_round_trips_losslessly_for_every_system() {
-    for spec in all_systems() {
-        let built = BuiltSystem::build(spec);
-        let anns = Annotation::parse(&built.gen.annotations).unwrap();
-        let analysis = Spex::analyze(built.module.clone(), &anns);
-        let db = ConstraintDb::from_analysis(built.spec.name, built.gen.dialect, &analysis);
+    for Analysed {
+        built,
+        inferred: db,
+        ..
+    } in catalog()
+    {
         let text = db.save_to_string();
         let back = ConstraintDb::load_from_str(&text).unwrap();
         let mut want = db.clone();
@@ -96,11 +131,9 @@ fn pristine_defaults_check_clean_and_corrupted_configs_are_flagged() {
     let mut flagged = 0usize;
     let mut per_system: Vec<(String, usize, usize)> = Vec::new();
 
-    for spec in all_systems() {
-        let built = BuiltSystem::build(spec);
-        let (db, env) = infer_and_persist(&built);
+    for Analysed { built, db, env, .. } in catalog() {
         let system = built.spec.name.to_string();
-        let session = CheckSession::new(&db).with_env(&env);
+        let session = CheckSession::new(db).with_env(env);
 
         // File 0: the pristine template; then the corrupted corpus —
         // every SPEX-INJ generation rule applied to the persisted
@@ -128,7 +161,7 @@ fn pristine_defaults_check_clean_and_corrupted_configs_are_flagged() {
             sampled
                 .iter()
                 .enumerate()
-                .map(|(i, m)| (format!("corrupt_{i}.conf"), corrupt(&built, m))),
+                .map(|(i, m)| (format!("corrupt_{i}.conf"), corrupt(built, m))),
         );
         let report = session.check_texts(&files);
         assert_eq!(report.stats.files, files.len());
@@ -169,10 +202,8 @@ fn pristine_defaults_check_clean_and_corrupted_configs_are_flagged() {
 fn every_diagnostic_code_round_trips_through_the_json_renderer() {
     use spex::check::json::Json;
     let mut codes_seen = std::collections::BTreeSet::new();
-    for spec in all_systems() {
-        let built = BuiltSystem::build(spec);
-        let (db, env) = infer_and_persist(&built);
-        let session = CheckSession::new(&db).with_env(&env);
+    for Analysed { built, db, env, .. } in catalog() {
+        let session = CheckSession::new(db).with_env(env);
 
         let constraints: Vec<_> = db
             .params
@@ -185,7 +216,7 @@ fn every_diagnostic_code_round_trips_through_the_json_renderer() {
             .iter()
             .step_by(step)
             .enumerate()
-            .map(|(i, m)| (format!("c{i}.conf"), corrupt(&built, m)))
+            .map(|(i, m)| (format!("c{i}.conf"), corrupt(built, m)))
             .collect();
         let report = session.check_texts(&files);
 
@@ -225,9 +256,7 @@ fn every_diagnostic_code_round_trips_through_the_json_renderer() {
 
 #[test]
 fn checker_pinpoints_line_value_code_and_provenance() {
-    let spec = spex::systems::system_by_name("OpenLDAP").unwrap();
-    let built = BuiltSystem::build(spec);
-    let (db, env) = infer_and_persist(&built);
+    let Analysed { built, db, env, .. } = system("OpenLDAP");
 
     // Corrupt one known range parameter in place.
     let mut conf = spex::conf::ConfFile::parse(&built.gen.template_conf, built.gen.dialect);
@@ -243,7 +272,7 @@ fn checker_pinpoints_line_value_code_and_provenance() {
     conf.set(&victim.name, "99999999");
     let line = conf.line_of(&victim.name).unwrap();
 
-    let diags = CheckSession::new(&db).with_env(&env).check(&conf);
+    let diags = CheckSession::new(db).with_env(env).check(&conf);
     let d = diags
         .iter()
         .find(|d| d.param == victim.name && d.code == DiagCode::Range)
@@ -261,16 +290,14 @@ fn checker_pinpoints_line_value_code_and_provenance() {
 
 #[test]
 fn unknown_key_suggestions_survive_persistence() {
-    let spec = spex::systems::system_by_name("VSFTP").unwrap();
-    let built = BuiltSystem::build(spec);
-    let (db, _env) = infer_and_persist(&built);
+    let Analysed { built, db, .. } = system("VSFTP");
     let known = db.param_names().next().unwrap().to_string();
     let typo = format!("{}x", &known[..known.len() - 1]);
     let text = match built.gen.dialect {
         spex::conf::Dialect::KeyValue => format!("{typo} = 1\n"),
         _ => format!("{typo} 1\n"),
     };
-    let diags = CheckSession::new(&db).check_text(&text);
+    let diags = CheckSession::new(db).check_text(&text);
     assert_eq!(diags.len(), 1, "{diags:#?}");
     assert_eq!(diags[0].code, DiagCode::UnknownKey);
     let suggestion = diags[0].suggestion.as_deref().expect("a did-you-mean");
@@ -285,21 +312,19 @@ fn unknown_key_suggestions_survive_persistence() {
 /// worker or eight drain the queue.
 #[test]
 fn batch_report_is_identical_across_thread_counts() {
-    let spec = spex::systems::system_by_name("Apache").unwrap();
-    let built = BuiltSystem::build(spec);
-    let (db, env) = infer_and_persist(&built);
+    let Analysed { built, db, env, .. } = system("Apache");
     let broken = format!("{}zzz_unknown_key 1\n", built.gen.template_conf);
     let files: Vec<(String, String)> = (0..16)
         .map(|i| (format!("conf-{i:02}"), broken.clone()))
         .collect();
 
-    let serial: Report = CheckSession::new(&db)
-        .with_env(&env)
+    let serial: Report = CheckSession::new(db)
+        .with_env(env)
         .with_threads(1)
         .check_texts(&files);
     for threads in [2, 8] {
-        let parallel: Report = CheckSession::new(&db)
-            .with_env(&env)
+        let parallel: Report = CheckSession::new(db)
+            .with_env(env)
             .with_threads(threads)
             .check_texts(&files);
         assert_eq!(parallel.files, serial.files, "at {threads} threads");

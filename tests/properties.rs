@@ -11,6 +11,9 @@ use spex::conf::{ConfFile, Dialect};
 use spex::core::constraint::{BasicType, Constraint, ConstraintKind, NumericRange, RangeSegment};
 use spex::core::CmpOp;
 use spex::inject::harness::intended_value;
+use spex::ir::cfg::Cfg;
+use spex::ir::dom::DomTree;
+use spex::ir::BlockId;
 use spex::lang::diag::Span;
 use spex::systems::rng::SplitMix64;
 use spex::vm::{Value, Vm, World};
@@ -619,4 +622,56 @@ fn suggestion_index_matches_a_linear_scan() {
         }
     }
     assert!(steps >= 200, "{steps} oracle steps");
+}
+
+/// Asserts `DomTree::dominates` (constant-time preorder intervals)
+/// against a walk up the idom chain for every block pair of every
+/// function of `module`; returns the pairs compared.
+fn check_dominance(name: &str, module: &spex::ir::Module) -> usize {
+    let mut pairs = 0;
+    for f in &module.functions {
+        let cfg = Cfg::build(f);
+        let dom = DomTree::build(f, &cfg);
+        let n = f.blocks.len() as u32;
+        for b in (0..n).map(BlockId) {
+            let mut want = vec![false; n as usize];
+            for d in dom.dominators_of(b) {
+                want[d.index()] = true;
+            }
+            for a in (0..n).map(BlockId) {
+                assert_eq!(
+                    dom.dominates(a, b),
+                    want[a.index()],
+                    "{name}: {}: does {a} dominate {b}?",
+                    f.name
+                );
+            }
+            pairs += n as usize;
+        }
+    }
+    pairs
+}
+
+#[test]
+fn dominance_intervals_match_the_idom_walk() {
+    let mut pairs = 0;
+    for spec in spex::systems::all_systems() {
+        let built = spex::systems::BuiltSystem::build(spec);
+        pairs += check_dominance(built.spec.name, &built.module);
+    }
+    let fleet = spex::systems::fleet::generate_fleet(&spex::systems::fleet::FleetSpec {
+        modules: 64,
+        ..Default::default()
+    });
+    for m in &fleet {
+        let program = spex::lang::parse_program(&m.source).expect("fleet source parses");
+        let module = spex::ir::lower_program(&program).expect("fleet source lowers");
+        pairs += check_dominance(&m.name, &module);
+    }
+    // Unreachable code: a block after `return` dominates only itself.
+    let program =
+        spex::lang::parse_program("int f(int x) { return x; x = 2; if (x) { x = 3; } return x; }")
+            .unwrap();
+    pairs += check_dominance("unreachable", &spex::ir::lower_program(&program).unwrap());
+    assert!(pairs > 100_000, "{pairs} block pairs");
 }
