@@ -452,6 +452,51 @@ fn bench_workspace(r: &Runner) {
         }
     }
 
+    // An edit re-parses and re-lowers only the function items it changed:
+    // `update_module` alone, alternating two one-line `test_smoke` bodies
+    // on Storage-A (239 KB, 1,199 items). The self-check asserts the item
+    // path's contract: the diff names `test_smoke` alone, and every other
+    // function keeps its allocation.
+    if r.selected("workspace/update_storage_a") {
+        let spec = spex_systems::system_by_name("Storage-A").unwrap();
+        let gen = spex_systems::generate(&spec);
+        let smoke = "int test_smoke() { return 0; }";
+        assert_eq!(gen.source.matches(smoke).count(), 1);
+        let variants = [1, 2].map(|pad| {
+            gen.source.replace(
+                smoke,
+                &format!("int test_smoke() {{ int pad = {pad}; return 0; }}"),
+            )
+        });
+        let mut ws = Workspace::new("Storage-A", gen.dialect);
+        ws.add_module("gen.c", &variants[1], &gen.annotations)
+            .unwrap();
+        let before = ws.module("gen.c").unwrap().functions.clone();
+        let diff = ws.update_module("gen.c", &variants[0]).unwrap();
+        assert_eq!(diff.changed, vec!["test_smoke".to_string()]);
+        assert!(diff.added.is_empty() && diff.removed.is_empty());
+        let after = &ws.module("gen.c").unwrap().functions;
+        let kept = before
+            .iter()
+            .zip(after)
+            .filter(|(a, b)| std::sync::Arc::ptr_eq(a, b))
+            .count();
+        assert_eq!(kept, before.len() - 1, "only test_smoke is rebuilt");
+        assert_eq!(ws.module_clones() + ws.function_clones(), 0);
+        println!(
+            "workspace/update_storage_a self-check: OK (diff [\"test_smoke\"], {kept} of {} \
+             functions keep their Arc)",
+            before.len()
+        );
+        let ws = std::cell::RefCell::new(ws);
+        let flip = std::cell::Cell::new(1usize);
+        r.bench("workspace/update_storage_a", || {
+            let source = &variants[flip.get() % 2];
+            flip.set(flip.get() + 1);
+            black_box(ws.borrow_mut().update_module("gen.c", source).unwrap())
+        });
+    }
+
     // The borrowed session: repeated `check_paths` off one workspace must
     // pay per-file work only — no per-call O(db) copy (compare with
     // `check/session_construction_*`, which a session over the indexed

@@ -9,7 +9,9 @@
 //!
 //! * each module's functions are **fingerprinted** over their lowered IR,
 //!   so [`Workspace::update_module`] knows exactly which bodies changed
-//!   (whitespace and comment edits dirty nothing); a batch of new modules
+//!   (whitespace and comment edits dirty nothing), and each top-level item
+//!   is keyed by its tokens, so an edit re-parses and re-lowers only the
+//!   function bodies it touched; a batch of new modules
 //!   ([`Workspace::add_modules`]) is parsed and lowered on the worker
 //!   pool;
 //! * [`Workspace::reanalyze`] tells the core which functions changed
@@ -58,11 +60,18 @@ use crate::session::CheckSession;
 use spex_conf::{ConfFile, Dialect};
 use spex_core::apispec::ApiSpec;
 use spex_core::fingerprint::{
-    diff_fingerprints, function_fingerprints, header_fingerprint, FingerprintDiff,
+    diff_fingerprints, function_fingerprint, function_fingerprints, header_fingerprint,
+    FingerprintDiff,
 };
 use spex_core::infer::{Incremental, PassCache, PassCounts, Spex};
 use spex_core::{Annotation, Constraint};
+use spex_ir::lower::LowerCtx;
 use spex_ir::Module;
+use spex_lang::items::{split_items, ItemKey, ItemKind, ItemSpan};
+use spex_lang::lexer::Lexer;
+use spex_lang::parser::Parser;
+use spex_lang::token::Token;
+use spex_lang::{Builtin, Diagnostic as SourceError, Item, Program};
 use spex_react::{ReactionClass, ReactionFinding};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
@@ -107,6 +116,12 @@ struct SourceModule {
     fn_fps: BTreeMap<String, u64>,
     /// Fingerprint of globals/structs/enum constants.
     header_fp: u64,
+    /// The key of every top-level item of the source `module` was built
+    /// from, in source order (see [`Workspace::update_module`]); `None`
+    /// when those items cannot be matched one to one with the module's
+    /// globals and functions, so the next edit takes the whole-module
+    /// path.
+    items: Option<Box<[ItemKey]>>,
     /// What changed since the last analysis.
     dirty: Dirty,
     /// From the last analysis: the parameters it mapped (used to
@@ -116,6 +131,163 @@ struct SourceModule {
     /// Stale slices keep their cached finding; only dirty-slice
     /// parameters are re-classified.
     reactions: BTreeMap<String, ReactionFinding>,
+}
+
+impl SourceModule {
+    /// The item path of [`Workspace::update_module`]: when `items` (the new
+    /// source's) match the stored keys in order, kind and head, re-parses
+    /// and re-lowers only the function bodies whose key changed and the
+    /// globals that moved, then assembles the new module from the old
+    /// one's parts (kept as it is when nothing in it changed). `None`, with
+    /// nothing changed, when the edit needs the whole-module path.
+    fn update_items(
+        &mut self,
+        tokens: &[Token<'_>],
+        items: &[ItemSpan],
+    ) -> Option<FingerprintDiff> {
+        let keys = self.items.as_deref_mut()?;
+        // A function's body may differ; any other item's key is its head.
+        let same_shape = keys.len() == items.len()
+            && keys
+                .iter()
+                .zip(items)
+                .all(|(old, new)| old.kind == new.key.kind && old.head == new.key.head);
+        if !same_shape {
+            return None;
+        }
+        let old = &*self.module;
+        // Built on first use: a comment or whitespace edit lowers nothing.
+        let mut ctx = None;
+        let mut functions = Vec::new();
+        let mut globals = Vec::new();
+        let mut changed = Vec::new();
+        let (mut next_fn, mut next_global) = (0, 0);
+        for (key, item) in keys.iter().zip(items) {
+            match key.kind {
+                ItemKind::Function => {
+                    if key.body != item.key.body {
+                        let Item::Function(def) = parse_item(tokens, item)? else {
+                            return None;
+                        };
+                        let ctx = ctx.get_or_insert_with(|| LowerCtx::of_module(old));
+                        let function = ctx.lower_function(&def).ok()?;
+                        let fp = function_fingerprint(&function, old);
+                        if self.fn_fps.get(&function.name) != Some(&fp) {
+                            changed.push((function.name.clone(), fp));
+                            functions.push((next_fn, Arc::new(function)));
+                        }
+                    }
+                    next_fn += 1;
+                }
+                ItemKind::Global => {
+                    let span = Parser::new(tokens, item.start).item_name_span().ok()?;
+                    if span != old.globals.get(next_global)?.span {
+                        let Item::Global(def) = parse_item(tokens, item)? else {
+                            return None;
+                        };
+                        let ctx = ctx.get_or_insert_with(|| LowerCtx::of_module(old));
+                        globals.push((next_global, ctx.lower_global(&def).ok()?));
+                    }
+                    next_global += 1;
+                }
+                ItemKind::Struct | ItemKind::Enum => {}
+            }
+        }
+        if next_fn != old.functions.len() || next_global != old.globals.len() {
+            return None;
+        }
+        if !(functions.is_empty() && globals.is_empty()) {
+            let mut module = Module::from_parts(
+                old.structs.clone(),
+                old.globals.clone(),
+                old.functions.clone(),
+                old.enum_consts.clone(),
+            );
+            for (i, f) in functions {
+                module.functions[i] = f;
+            }
+            for (i, g) in globals {
+                module.globals[i] = g;
+            }
+            self.module = Arc::new(module);
+        }
+        for (key, item) in keys.iter_mut().zip(items) {
+            *key = item.key;
+        }
+        changed.sort_unstable();
+        let mut diff = FingerprintDiff::default();
+        for (name, fp) in changed {
+            self.fn_fps.insert(name.clone(), fp);
+            diff.changed.push(name);
+        }
+        if !diff.is_empty() {
+            self.dirty.absorb_functions(diff.dirty_names());
+        }
+        Some(diff)
+    }
+}
+
+/// A whole-module front end's result.
+struct Front {
+    module: Module,
+    fn_fps: BTreeMap<String, u64>,
+    header_fp: u64,
+    /// The keys of `items`, when the parser ended every item where
+    /// [`split_items`] did and no two functions share a name.
+    items: Option<Box<[ItemKey]>>,
+}
+
+impl Front {
+    /// Parses every item of a lexed source in order and lowers the
+    /// program: [`spex_lang::parse_program`] and
+    /// [`spex_ir::lower_program`] over tokens already lexed and split.
+    fn whole(
+        name: &str,
+        tokens: &[Token<'_>],
+        items: &[ItemSpan],
+    ) -> Result<Front, WorkspaceError> {
+        let mut parser = Parser::new(tokens, 0);
+        let mut program = Program::default();
+        let mut split = items.iter();
+        let mut aligned = true;
+        while !parser.at_end() {
+            let start = parser.pos();
+            let item = parser.parse_item().map_err(|e| parse_error(name, e))?;
+            aligned &= split.next().is_some_and(|s| {
+                s.start == start && s.end == parser.pos() && s.key.kind == item.kind()
+            });
+            program.push(item);
+        }
+        aligned &= split.next().is_none();
+        let module = spex_ir::lower_program(&program).map_err(|e| parse_error(name, e))?;
+        let fn_fps = function_fingerprints(&module);
+        let unique = fn_fps.len() == module.functions.len();
+        Ok(Front {
+            header_fp: header_fingerprint(&module),
+            items: (aligned && unique).then(|| items.iter().map(|i| i.key).collect()),
+            fn_fps,
+            module,
+        })
+    }
+}
+
+fn parse_error(module: &str, e: SourceError) -> WorkspaceError {
+    WorkspaceError::Parse {
+        module: module.to_string(),
+        message: e.to_string(),
+    }
+}
+
+fn lex<'s>(module: &str, source: &'s str) -> Result<Vec<Token<'s>>, WorkspaceError> {
+    Lexer::new(source).lex().map_err(|e| parse_error(module, e))
+}
+
+/// Parses one item on its own, from its absolute position; `None` unless
+/// it parses and ends where the split ended it.
+fn parse_item(tokens: &[Token<'_>], item: &ItemSpan) -> Option<Item> {
+    let mut parser = Parser::new(tokens, item.start);
+    let parsed = parser.parse_item().ok()?;
+    (parser.pos() == item.end).then_some(parsed)
 }
 
 /// Moves one module's share of the mapping counts from the parameters its
@@ -376,6 +548,11 @@ impl Workspace {
         self.modules.keys().map(String::as_str).collect()
     }
 
+    /// A module's lowered IR as of its last add or update.
+    pub fn module(&self, name: &str) -> Option<&Module> {
+        self.modules.get(name).map(|m| &*m.module)
+    }
+
     /// Module names with un-analyzed changes, sorted.
     pub fn dirty_modules(&self) -> Vec<&str> {
         self.modules
@@ -383,17 +560,6 @@ impl Workspace {
             .filter(|(_, m)| m.dirty != Dirty::Clean)
             .map(|(n, _)| n.as_str())
             .collect()
-    }
-
-    fn parse_source(module: &str, source: &str) -> Result<Module, WorkspaceError> {
-        let program = spex_lang::parse_program(source).map_err(|e| WorkspaceError::Parse {
-            module: module.to_string(),
-            message: e.to_string(),
-        })?;
-        spex_ir::lower_program(&program).map_err(|e| WorkspaceError::Parse {
-            module: module.to_string(),
-            message: e.to_string(),
-        })
     }
 
     fn parse_annotations(module: &str, text: &str) -> Result<Vec<Annotation>, WorkspaceError> {
@@ -410,12 +576,14 @@ impl Workspace {
         source: &str,
         annotations: &str,
     ) -> Result<SourceModule, WorkspaceError> {
-        let module = Self::parse_source(name, source)?;
+        let tokens = lex(name, source)?;
+        let front = Front::whole(name, &tokens, &split_items(&tokens))?;
         let anns = Self::parse_annotations(name, annotations)?;
         Ok(SourceModule {
-            fn_fps: function_fingerprints(&module),
-            header_fp: header_fingerprint(&module),
-            module: Arc::new(module),
+            fn_fps: front.fn_fps,
+            header_fp: front.header_fp,
+            items: front.items,
+            module: Arc::new(front.module),
             cache: PassCache::default(),
             anns,
             dirty: Dirty::All,
@@ -482,6 +650,25 @@ impl Workspace {
     /// compute the dirty function set. Returns which functions changed; an
     /// empty diff (e.g. a comment-only edit) leaves the module clean if it
     /// already was.
+    ///
+    /// The new source is lexed once and split into its top-level items
+    /// (struct, enum, global, function), each keyed by its tokens without
+    /// their positions. When the items are those of the stored source, in
+    /// the same order and with the same keys except for some function
+    /// bodies, only those bodies are re-parsed and re-lowered (the *item
+    /// path*); a global that only moved is re-lowered for its new span,
+    /// and every other function keeps its allocation. Any other edit — or
+    /// a changed body that fails to parse or lower — takes the
+    /// whole-module path, which parses and lowers every item. Both build
+    /// the same module, so which one ran never shows.
+    ///
+    /// Either way, an unchanged function keeps the previous generation's
+    /// `Arc` (so downstream reuse keeps sharing one body), but only while
+    /// every id it embeds still names the same thing: when the header
+    /// changed, a function was inserted or removed before the end of the
+    /// module, or a function named like a builtin came or went (calls by
+    /// that name switch between the two), nothing is reused and the
+    /// module is re-inferred whole.
     pub fn update_module(
         &mut self,
         name: &str,
@@ -489,33 +676,64 @@ impl Workspace {
     ) -> Result<FingerprintDiff, WorkspaceError> {
         let _telemetry = self.telemetry.as_ref().map(spex_obs::install);
         let _span = spex_obs::span("workspace.update_module");
-        let mut module = Self::parse_source(name, source)?;
+        let tokens = lex(name, source)?;
+        let items = split_items(&tokens);
+        if let Some(entry) = self.modules.get_mut(name) {
+            if let Some(diff) = entry.update_items(&tokens, &items) {
+                return Ok(diff);
+            }
+        }
+        let Front {
+            mut module,
+            fn_fps,
+            header_fp,
+            items,
+        } = Front::whole(name, &tokens, &items)?;
         let entry = self
             .modules
             .get_mut(name)
             .ok_or_else(|| WorkspaceError::UnknownModule(name.to_string()))?;
-        let fn_fps = function_fingerprints(&module);
-        let header_fp = header_fingerprint(&module);
         let diff = diff_fingerprints(&entry.fn_fps, &fn_fps);
-        if header_fp != entry.header_fp {
-            // Globals, struct layouts or enum constants moved: mappings
-            // and declared-type fallbacks may shift for any parameter.
+        // Every surviving function must keep its index, or an unchanged
+        // caller's `Callee::Func` ids would name its neighbour. And no
+        // function named like a builtin may come or go: a call by that
+        // name changes between the builtin and the module function, which
+        // the fingerprint (like the printed IR) names alike.
+        let old_index: HashMap<&str, usize> = entry
+            .module
+            .functions
+            .iter()
+            .enumerate()
+            .map(|(i, f)| (f.name.as_str(), i))
+            .collect();
+        let ids_stable = header_fp == entry.header_fp
+            && (diff.added.iter())
+                .chain(&diff.removed)
+                .all(|f| Builtin::from_name(f).is_none())
+            && module
+                .functions
+                .iter()
+                .enumerate()
+                .all(|(i, f)| old_index.get(f.name.as_str()).is_none_or(|&j| j == i));
+        if !ids_stable {
+            // Globals, struct layouts, enum constants or function ids
+            // moved: mappings, declared-type fallbacks and call edges may
+            // shift for any parameter.
             entry.dirty = Dirty::All;
-        } else if !diff.is_empty() {
-            entry.dirty.absorb_functions(diff.dirty_names());
-        }
-        // Swap the freshly parsed body of every *unchanged* function for
-        // the previous generation's allocation: the fingerprint says they
-        // are identical, so untouched functions stay pointer-equal across
-        // generations (`Arc::ptr_eq`) and downstream reuse — SSA state,
-        // slices — keeps sharing one body instead of re-anchoring on a
-        // duplicate. Only sound when the header is stable too (embedded
-        // global/struct ids unchanged).
-        if header_fp == entry.header_fp {
+        } else {
+            if !diff.is_empty() {
+                entry.dirty.absorb_functions(diff.dirty_names());
+            }
+            // Swap the freshly lowered body of every *unchanged* function
+            // for the previous generation's allocation: the fingerprint
+            // says they are identical, so untouched functions stay
+            // pointer-equal across generations (`Arc::ptr_eq`) and
+            // downstream reuse — SSA state, slices — keeps sharing one
+            // body instead of re-anchoring on a duplicate.
             for f in &mut module.functions {
                 if entry.fn_fps.get(&f.name) == fn_fps.get(&f.name) {
-                    if let Some(old) = entry.module.functions.iter().find(|o| o.name == f.name) {
-                        *f = Arc::clone(old);
+                    if let Some(&j) = old_index.get(f.name.as_str()) {
+                        *f = Arc::clone(&entry.module.functions[j]);
                     }
                 }
             }
@@ -523,6 +741,7 @@ impl Workspace {
         entry.module = Arc::new(module);
         entry.fn_fps = fn_fps;
         entry.header_fp = header_fp;
+        entry.items = items;
         Ok(diff)
     }
 
@@ -1088,5 +1307,582 @@ mod tests {
         let text = ws.db().save_to_string();
         let ws2 = Workspace::from_db(ConstraintDb::load_from_str(&text).unwrap());
         assert_eq!(ws2.check_text("threads = 64\n").len(), 1);
+    }
+
+    // -- The item path against a whole parse ----------------------------
+
+    use spex_core::fingerprint::fnv1a;
+    use spex_ir::printer::{print_function, print_module};
+    use spex_lang::token::TokenKind;
+    use spex_systems::rng::SplitMix64;
+    use std::fmt::Write as _;
+
+    /// What `update_module` built before it knew about items: a whole
+    /// `parse_program` plus `lower_program`, fingerprints hashed over the
+    /// printed IR and the old text rendering of the header, and the
+    /// previous generation's `Arc` for every function whose fingerprint is
+    /// unchanged — while the header and every surviving function's index
+    /// stay put and no function named like a builtin comes or goes.
+    struct Reference {
+        module: Module,
+        diff: FingerprintDiff,
+        /// For each function, the index of the previous generation's
+        /// function whose allocation it shares.
+        kept: Vec<Option<usize>>,
+        stable: bool,
+    }
+
+    fn printed_fps(m: &Module) -> BTreeMap<String, u64> {
+        let mut fps: BTreeMap<String, u64> = BTreeMap::new();
+        for f in &m.functions {
+            let fp = fnv1a(print_function(f, m).as_bytes());
+            fps.entry(f.name.clone())
+                .and_modify(|prev| *prev = fnv1a(&[prev.to_le_bytes(), fp.to_le_bytes()].concat()))
+                .or_insert(fp);
+        }
+        fps
+    }
+
+    fn printed_header(m: &Module) -> String {
+        let mut text = String::new();
+        for g in &m.globals {
+            let _ = writeln!(text, "global {} : {} = {:?}", g.name, g.ty, g.init);
+        }
+        for s in &m.structs {
+            let _ = write!(text, "struct {} {{", s.name);
+            for (field, ty) in &s.fields {
+                let _ = write!(text, " {field}: {ty};");
+            }
+            let _ = writeln!(text, " }}");
+        }
+        let consts: BTreeMap<&String, &i64> = m.enum_consts.iter().collect();
+        for (k, v) in consts {
+            let _ = writeln!(text, "enum {k} = {v}");
+        }
+        text
+    }
+
+    fn reference(name: &str, prev: &Module, source: &str) -> Result<Reference, WorkspaceError> {
+        let error = |e: spex_lang::Diagnostic| WorkspaceError::Parse {
+            module: name.to_string(),
+            message: e.to_string(),
+        };
+        let program = spex_lang::parse_program(source).map_err(error)?;
+        let mut module = spex_ir::lower_program(&program).map_err(error)?;
+        let (old_fps, new_fps) = (printed_fps(prev), printed_fps(&module));
+        let old_index = |name: &str| prev.functions.iter().rposition(|f| f.name == name);
+        let diff = diff_fingerprints(&old_fps, &new_fps);
+        let stable = printed_header(prev) == printed_header(&module)
+            && (diff.added.iter())
+                .chain(&diff.removed)
+                .all(|f| spex_lang::Builtin::from_name(f).is_none())
+            && module
+                .functions
+                .iter()
+                .enumerate()
+                .all(|(i, f)| old_index(&f.name).is_none_or(|j| j == i));
+        let mut kept = vec![None; module.functions.len()];
+        if stable {
+            for (i, f) in module.functions.iter_mut().enumerate() {
+                if old_fps.get(&f.name) == new_fps.get(&f.name) {
+                    if let Some(j) = old_index(&f.name) {
+                        *f = Arc::clone(&prev.functions[j]);
+                        kept[i] = Some(j);
+                    }
+                }
+            }
+        }
+        Ok(Reference {
+            diff,
+            module,
+            kept,
+            stable,
+        })
+    }
+
+    /// Structural and printed fingerprints must split functions into the
+    /// same classes: a map each way, and each must stay a function.
+    #[derive(Default)]
+    struct FpClasses {
+        printed_to_structural: HashMap<u64, u64>,
+        structural_to_printed: HashMap<u64, u64>,
+    }
+
+    impl FpClasses {
+        fn add(&mut self, m: &Module) {
+            for f in &m.functions {
+                let printed = fnv1a(print_function(f, m).as_bytes());
+                let structural = function_fingerprint(f, m);
+                let a = *self
+                    .printed_to_structural
+                    .entry(printed)
+                    .or_insert(structural);
+                let b = *self
+                    .structural_to_printed
+                    .entry(structural)
+                    .or_insert(printed);
+                assert_eq!(
+                    (a, b),
+                    (structural, printed),
+                    "{}: structural and printed fingerprints disagree",
+                    f.name
+                );
+            }
+        }
+    }
+
+    /// Applies one edit through `update_module` and asserts the outcome is
+    /// the reference's in every field. Returns whether it was accepted.
+    fn check_step(ws: &mut Workspace, name: &str, source: &str, what: &str) -> bool {
+        let entry = ws.modules.get_mut(name).unwrap();
+        entry.dirty = Dirty::Clean;
+        let prev = Arc::clone(&entry.module);
+        let want = reference(name, &prev, source);
+        let got = ws.update_module(name, source);
+        let entry = &ws.modules[name];
+        let want = match (want, got) {
+            (Err(want), got) => {
+                assert_eq!(got, Err(want), "{name}: {what}");
+                assert!(Arc::ptr_eq(&entry.module, &prev), "{name}: {what}");
+                assert_eq!(entry.dirty, Dirty::Clean, "{name}: {what}");
+                return false;
+            }
+            (Ok(want), Ok(diff)) => {
+                assert_eq!(diff, want.diff, "{name}: {what}");
+                want
+            }
+            (Ok(_), Err(e)) => panic!("{name}: {what}: whole parse accepts, update fails: {e}"),
+        };
+        let got = &*entry.module;
+        assert_eq!(
+            print_module(got),
+            print_module(&want.module),
+            "{name}: {what}"
+        );
+        assert_eq!(got.functions.len(), want.module.functions.len());
+        for (i, (g, w)) in got.functions.iter().zip(&want.module.functions).enumerate() {
+            // Every instruction and terminator with its span, the
+            // function's span, slots and value types.
+            assert_eq!(format!("{g:?}"), format!("{w:?}"), "{name}: {what}");
+            let shared = prev.functions.iter().position(|p| Arc::ptr_eq(p, g));
+            assert_eq!(
+                shared, want.kept[i],
+                "{name}: {what}: {} allocation",
+                g.name
+            );
+        }
+        assert_eq!(
+            format!("{:?}", got.globals),
+            format!("{:?}", want.module.globals),
+            "{name}: {what}"
+        );
+        assert_eq!(
+            format!("{:?}", got.structs),
+            format!("{:?}", want.module.structs)
+        );
+        assert_eq!(got.enum_consts, want.module.enum_consts);
+        assert_eq!(entry.fn_fps, function_fingerprints(got), "{name}: {what}");
+        assert_eq!(entry.header_fp, header_fingerprint(got), "{name}: {what}");
+        let tokens = Lexer::new(source).lex().unwrap();
+        let keys: Vec<ItemKey> = split_items(&tokens).iter().map(|i| i.key).collect();
+        // Items are kept only while they name the functions one to one.
+        let names: BTreeSet<&str> = got.functions.iter().map(|f| f.name.as_str()).collect();
+        let unique = names.len() == got.functions.len();
+        assert_eq!(
+            entry.items.as_deref(),
+            unique.then_some(&keys[..]),
+            "{name}: {what}"
+        );
+        let dirty = if !want.stable {
+            Dirty::All
+        } else if want.diff.is_empty() {
+            Dirty::Clean
+        } else {
+            Dirty::Functions(want.diff.dirty_names().into_iter().collect())
+        };
+        assert_eq!(entry.dirty, dirty, "{name}: {what}");
+        true
+    }
+
+    /// A source's items as byte offsets: kind, start, a function body's
+    /// `{`, and one past the last byte.
+    fn item_text(source: &str) -> Vec<(ItemKind, usize, Option<usize>, usize)> {
+        let Ok(tokens) = Lexer::new(source).lex() else {
+            return Vec::new();
+        };
+        let lines: Vec<usize> = std::iter::once(0)
+            .chain(source.match_indices('\n').map(|(i, _)| i + 1))
+            .collect();
+        let at = |t: &Token<'_>| lines[t.span.line as usize - 1] + t.span.col as usize - 1;
+        split_items(&tokens)
+            .iter()
+            .map(|item| {
+                let body = tokens[item.start..item.end]
+                    .iter()
+                    .find(|t| t.kind == TokenKind::LBrace)
+                    .filter(|_| item.key.kind == ItemKind::Function)
+                    .map(at);
+                let end = (at(&tokens[item.end - 1]) + 1).min(source.len());
+                (item.key.kind, at(&tokens[item.start]), body, end)
+            })
+            .collect()
+    }
+
+    fn pick<T: Copy>(g: &mut SplitMix64, from: &[T]) -> Option<T> {
+        (!from.is_empty()).then(|| from[(g.next_u64() % from.len() as u64) as usize])
+    }
+
+    fn splice(source: &str, at: usize, text: &str) -> String {
+        format!("{}{text}{}", &source[..at], &source[at..])
+    }
+
+    /// One seeded source edit of the kinds configuration code sees, named.
+    fn edit(g: &mut SplitMix64, source: &str, n: usize) -> (&'static str, String) {
+        let items = item_text(source);
+        let of = |kind: ItemKind| -> Vec<(usize, Option<usize>, usize)> {
+            items
+                .iter()
+                .filter(|i| i.0 == kind)
+                .map(|i| (i.1, i.2, i.3))
+                .collect()
+        };
+        let bodies: Vec<(usize, usize, usize)> = items
+            .iter()
+            .filter_map(|i| Some((i.1, i.2?, i.3)))
+            .collect();
+        let starts: Vec<usize> = items.iter().map(|i| i.1).collect();
+        let comment = |g: &mut SplitMix64| {
+            let at = pick(g, &starts).unwrap_or(0);
+            ("comment", splice(source, at, ["/* c */ ", "// c\n"][n % 2]))
+        };
+        let kind = g.next_u64() % 17;
+        let edited = match kind {
+            0 | 1 | 6 => pick(g, &bodies).map(|(_, body, _)| {
+                let (what, text) = match kind {
+                    // An empty block changes the body's key, not its IR.
+                    0 if n.is_multiple_of(2) => ("body in place", " { }".to_string()),
+                    0 => ("body in place", format!(" int zq{n} = {n};")),
+                    1 => ("body adds lines", format!("\n    int zq{n} = {n};\n")),
+                    _ => (
+                        "literals",
+                        format!(" char* zs{n} = \"{{;}}//\"; int zc{n} = '}}';"),
+                    ),
+                };
+                (what, splice(source, body + 1, &text))
+            }),
+            2 => pick(g, &bodies).and_then(|(_, body, end)| {
+                let first = body + source[body..end].find('\n')?;
+                let second = first + 1 + source[first + 1..end].find('\n')?;
+                Some((
+                    "body removes a line",
+                    format!("{}{}", &source[..first + 1], &source[second + 1..]),
+                ))
+            }),
+            3 => Some(comment(g)),
+            4 => pick(g, &starts)
+                .map(|at| ("whitespace", splice(source, at, ["\n\n", "   "][n % 2]))),
+            5 => (items.len() > 1).then(|| {
+                let k = (g.next_u64() % (items.len() as u64 - 1)) as usize;
+                let (end, next) = (items[k].3, items[k + 1].1);
+                (
+                    "two items on one line",
+                    format!("{} {}", &source[..end], &source[next.max(end)..]),
+                )
+            }),
+            7 => pick(g, &starts).map(|at| ("hash line", splice(source, at, "\n#pragma spex\n"))),
+            8 => pick(g, &[of(ItemKind::Global), of(ItemKind::Function)].concat()).map(
+                |(at, _, _)| {
+                    (
+                        "qualifier",
+                        splice(source, at, ["static ", "const "][n % 2]),
+                    )
+                },
+            ),
+            9 => pick(g, &of(ItemKind::Global))
+                .map(|(_, _, end)| ("global", splice(source, end - 1, " + 1"))),
+            10 => pick(g, &of(ItemKind::Struct)).and_then(|(at, _, end)| {
+                let brace = at + source[at..end].find('{')?;
+                Some(("struct", splice(source, brace + 1, " int zf; ")))
+            }),
+            11 => pick(g, &of(ItemKind::Enum)).and_then(|(at, _, end)| {
+                let brace = at + source[at..end].find('{')?;
+                Some(("enum", splice(source, brace + 1, &format!(" ZQ{n}, "))))
+            }),
+            12 => pick(g, &bodies).and_then(|(at, body, _)| {
+                let paren = at + source[at..body].find('(')?;
+                let text = if source[paren + 1..].starts_with(')') {
+                    "int zp"
+                } else {
+                    "int zp, "
+                };
+                Some(("signature", splice(source, paren + 1, text)))
+            }),
+            // A module function named like a builtin takes the calls by
+            // that name; appended, it leaves every other index as it was.
+            13 if n.is_multiple_of(3) => Some((
+                "add a builtin's name",
+                format!(
+                    "{source}\n{}\n",
+                    [
+                        "int atoi(char* s) { return 0; }",
+                        "long strtol(char* s, char** end, int base) { return 0; }"
+                    ][n % 2]
+                ),
+            )),
+            13 => {
+                let at = pick(g, &starts).unwrap_or(source.len());
+                Some((
+                    "add function",
+                    splice(source, at, &format!("void zz{n}() {{ }}\n")),
+                ))
+            }
+            14 => pick(g, &bodies).map(|(at, _, end)| {
+                (
+                    "remove function",
+                    format!("{}{}", &source[..at], &source[end..]),
+                )
+            }),
+            15 => pick(g, &bodies).and_then(|(at, body, _)| {
+                let paren = at + source[at..body].find('(')?;
+                Some(("rename function", splice(source, paren, "_r")))
+            }),
+            _ => (items.len() > 1).then(|| {
+                let k = (g.next_u64() % (items.len() as u64 - 1)) as usize;
+                let (a, b) = (items[k], items[k + 1]);
+                let (a, b) = ((a.1, a.3), (b.1, b.3.max(b.1)));
+                (
+                    "reorder",
+                    format!(
+                        "{}{}{}{}{}",
+                        &source[..a.0],
+                        &source[b.0..b.1],
+                        &source[a.1.min(b.0)..b.0],
+                        &source[a.0..a.1.min(b.0)],
+                        &source[b.1..]
+                    ),
+                )
+            }),
+        };
+        edited.unwrap_or_else(|| comment(g))
+    }
+
+    /// One byte-level mutation, or one of the hostile shapes a front end
+    /// must reject with a positioned error: unbalanced braces, an
+    /// unterminated comment or literal, a lone `}` between items, and
+    /// 10,000 nested blocks.
+    fn mutate(g: &mut SplitMix64, source: &str) -> (&'static str, String) {
+        let at = (g.next_u64() % (source.len() as u64 + 1)) as usize;
+        let starts: Vec<usize> = item_text(source).iter().map(|i| i.1).collect();
+        let bodies: Vec<usize> = item_text(source).iter().filter_map(|i| i.2).collect();
+        match g.next_u64() % 8 {
+            0 => {
+                let end = (at + 1 + (g.next_u64() % 3) as usize).min(source.len());
+                (
+                    "delete bytes",
+                    format!("{}{}", &source[..at], &source[end..]),
+                )
+            }
+            1 => {
+                let byte = pick(
+                    g,
+                    &[
+                        '{', '}', '(', ')', ';', '"', '\'', '/', '*', '#', '\n', 'a', '0',
+                    ],
+                )
+                .unwrap();
+                ("insert a byte", splice(source, at, &byte.to_string()))
+            }
+            2 => {
+                let end = (at + (g.next_u64() % 20) as usize).min(source.len());
+                ("duplicate bytes", splice(source, at, &source[at..end]))
+            }
+            3 => ("unbalanced brace", format!("{source}{{")),
+            4 => (
+                "lone brace",
+                splice(source, pick(g, &starts).unwrap_or(at), "}\n"),
+            ),
+            5 => ("unterminated comment", splice(source, at, "/*")),
+            6 => (
+                "unterminated literal",
+                splice(source, at, ["\"", "'"][at % 2]),
+            ),
+            _ => {
+                let body = pick(g, &bodies).map_or(at, |b| b + 1);
+                let blocks = format!("{}{}", "{".repeat(10_000), "}".repeat(10_000));
+                ("10,000 nested blocks", splice(source, body, &blocks))
+            }
+        }
+    }
+
+    /// The sources the oracles run over: every catalog system in release
+    /// (the two smallest in debug) and a slice of the fleet.
+    fn oracle_sources() -> Vec<(String, String, String)> {
+        let release = !cfg!(debug_assertions);
+        let mut sources: Vec<(String, String, String)> = spex_systems::all_systems()
+            .into_iter()
+            .filter(|s| release || matches!(s.name, "OpenLDAP" | "VSFTP"))
+            .map(|spec| {
+                let gen = spex_systems::generate(&spec);
+                (spec.name.to_string(), gen.source, gen.annotations)
+            })
+            .collect();
+        let fleet = spex_systems::fleet::generate_fleet(&spex_systems::fleet::FleetSpec {
+            modules: if release { 64 } else { 16 },
+            ..Default::default()
+        });
+        sources.extend(fleet.into_iter().map(|m| (m.name, m.source, m.annotations)));
+        sources
+    }
+
+    #[test]
+    fn the_item_path_builds_what_a_whole_parse_builds() {
+        let sources = oracle_sources();
+        let steps_per_module = |source: &str| if source.len() > 10_000 { 40 } else { 14 };
+        let mut g = SplitMix64::seed_from_u64(0x17e4);
+        let mut classes = FpClasses::default();
+        let (mut steps, mut accepted, mut same_shape) = (0, 0, 0);
+        for (name, base, annotations) in &sources {
+            let mut ws = Workspace::new("Oracle", Dialect::KeyValue);
+            ws.add_module(name.as_str(), base, annotations).unwrap();
+            classes.add(&ws.modules[name.as_str()].module);
+            let mut source = base.clone();
+            for n in 0..steps_per_module(base) {
+                let (what, edited) = edit(&mut g, &source, n);
+                let old_keys: Vec<ItemKey> = item_keys(&source);
+                let new_keys: Vec<ItemKey> = item_keys(&edited);
+                same_shape += usize::from(
+                    old_keys.len() == new_keys.len()
+                        && old_keys
+                            .iter()
+                            .zip(&new_keys)
+                            .all(|(a, b)| a.kind == b.kind && a.head == b.head),
+                );
+                steps += 1;
+                if check_step(&mut ws, name, &edited, what) {
+                    accepted += 1;
+                    classes.add(&ws.modules[name.as_str()].module);
+                    source = edited;
+                }
+            }
+            ws.reanalyze();
+            assert_eq!(ws.module_clones(), 0);
+            assert_eq!(ws.function_clones(), 0);
+        }
+        assert!(steps >= 200, "{steps} steps");
+        assert!(accepted * 2 > steps, "{accepted} of {steps} edits parsed");
+        assert!(
+            same_shape * 3 > steps,
+            "{same_shape} of {steps} edits kept every item's kind and head"
+        );
+    }
+
+    fn item_keys(source: &str) -> Vec<ItemKey> {
+        Lexer::new(source)
+            .lex()
+            .map(|tokens| split_items(&tokens).iter().map(|i| i.key).collect())
+            .unwrap_or_default()
+    }
+
+    #[test]
+    fn hostile_sources_fail_exactly_as_a_whole_parse_does() {
+        let sources = oracle_sources();
+        let mut g = SplitMix64::seed_from_u64(0xbad5);
+        let mut rejected = 0;
+        let mut kinds = BTreeSet::new();
+        for (name, base, annotations) in sources.iter().take(12) {
+            let mut ws = Workspace::new("Hostile", Dialect::KeyValue);
+            ws.add_module(name.as_str(), base, annotations).unwrap();
+            for _ in 0..16 {
+                let (what, mutated) = mutate(&mut g, base);
+                kinds.insert(what);
+                if !check_step(&mut ws, name, &mutated, what) {
+                    rejected += 1;
+                }
+                // Back to the pristine source, so every mutation is one
+                // step away from a module that parses.
+                check_step(&mut ws, name, base, "restore");
+            }
+        }
+        assert_eq!(kinds.len(), 8, "{kinds:?}");
+        assert!(rejected > 50, "{rejected} mutations rejected");
+    }
+
+    #[test]
+    fn structural_fingerprints_split_functions_as_printed_ones_do() {
+        let mut classes = FpClasses::default();
+        for spec in spex_systems::all_systems() {
+            let source = spex_systems::generate(&spec).source;
+            let program = spex_lang::parse_program(&source).unwrap();
+            classes.add(&spex_ir::lower_program(&program).unwrap());
+        }
+        for m in spex_systems::fleet::generate_fleet(&spex_systems::fleet::FleetSpec {
+            modules: 64,
+            ..Default::default()
+        }) {
+            let program = spex_lang::parse_program(&m.source).unwrap();
+            classes.add(&spex_ir::lower_program(&program).unwrap());
+        }
+        // Texts the printer renders alike: an integral float constant
+        // prints as the integer, and a builtin call as a module function
+        // of the same name.
+        let pair = |a: &str, b: &str| {
+            let lower = |src: &str| {
+                spex_ir::lower_program(&spex_lang::parse_program(src).unwrap()).unwrap()
+            };
+            let (a, b) = (lower(a), lower(b));
+            (
+                function_fingerprint(&a.functions[0], &a)
+                    == function_fingerprint(&b.functions[0], &b),
+                print_function(&a.functions[0], &a) == print_function(&b.functions[0], &b),
+            )
+        };
+        assert_eq!(
+            pair("int f() { return 1; }", "int f() { return 1.0; }"),
+            (true, true)
+        );
+        assert_eq!(
+            pair("int f() { return 1; }", "int f() { return 1.5; }"),
+            (false, false)
+        );
+        assert_eq!(
+            pair(
+                "int f() { return atoi(\"1\"); }",
+                "int f() { return atoi(\"1\"); } int atoi(char* s) { return 0; }"
+            ),
+            (true, true)
+        );
+        assert!(
+            classes.printed_to_structural.len() > 500,
+            "{} distinct functions",
+            classes.printed_to_structural.len()
+        );
+    }
+
+    #[test]
+    fn a_body_edit_takes_the_item_path_and_keeps_every_other_allocation() {
+        let mut ws = ws();
+        let entry = &ws.modules["main.c"];
+        let (before, items) = (Arc::clone(&entry.module), entry.items.clone());
+        assert!(items.is_some(), "a parsed module stores its item keys");
+        // The edit shifts `napper` one line down and re-lowers `startup`.
+        let edited = BASE.replace("exit(1); }\n            if", "exit(1); }\n\n            if");
+        let diff = ws.update_module("main.c", &edited).unwrap();
+        assert_eq!(
+            diff,
+            FingerprintDiff::default(),
+            "a line shift changes no IR"
+        );
+        let after = &ws.modules["main.c"].module;
+        assert!(
+            Arc::ptr_eq(&before, after),
+            "nothing changed, so the module is kept"
+        );
+        let edited = edited.replace("threads > 16", "threads > 32");
+        let diff = ws.update_module("main.c", &edited).unwrap();
+        assert_eq!(diff.changed, vec!["startup".to_string()]);
+        let after = &ws.modules["main.c"].module;
+        assert!(Arc::ptr_eq(&before.functions[1], &after.functions[1]));
+        assert!(!Arc::ptr_eq(&before.functions[0], &after.functions[0]));
+        assert_eq!(ws.module_clones(), 0);
     }
 }

@@ -334,7 +334,7 @@ impl Instr {
 }
 
 /// A block terminator.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Terminator {
     /// Unconditional jump.
     Br(BlockId),

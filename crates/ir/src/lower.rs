@@ -11,188 +11,231 @@ use crate::module::{
     Block, BlockId, FuncId, Function, GlobalId, GlobalVar, Module, SlotId, SlotInfo, StructLayout,
     ValueId,
 };
-use spex_lang::ast::{BinOp, Expr, ExprKind, FunctionDef, Initializer, Program, Stmt, UnOp};
+use spex_lang::ast::{
+    BinOp, Expr, ExprKind, FunctionDef, GlobalDef, Initializer, Program, Stmt, UnOp,
+};
 use spex_lang::builtins::Builtin;
 use spex_lang::diag::{Diagnostic, Span};
 use spex_lang::types::CType;
 use std::collections::HashMap;
+use std::sync::Arc;
 
-/// Lowers a parsed program to an IR module.
+/// Lowers a parsed program to an IR module: every global, then every
+/// function, each on its own through one [`LowerCtx`].
 pub fn lower_program(program: &Program) -> Result<Module, Diagnostic> {
-    let mut module = Module::default();
-
-    for s in &program.structs {
-        module.structs.push(StructLayout {
+    let structs: Vec<StructLayout> = program
+        .structs
+        .iter()
+        .map(|s| StructLayout {
             name: s.name.clone(),
             fields: s
                 .fields
                 .iter()
                 .map(|f| (f.name.clone(), f.ty.clone()))
                 .collect(),
-        });
+        })
+        .collect();
+    let enum_consts: HashMap<String, i64> = program
+        .enums
+        .iter()
+        .flat_map(|e| e.variants.iter().cloned())
+        .collect();
+    let ctx = LowerCtx::new(
+        &structs,
+        &enum_consts,
+        program.globals.iter().map(|g| (g.name.as_str(), &g.ty)),
+        program.functions.iter().map(|f| (f.name.as_str(), &f.ret)),
+    );
+    let globals = program
+        .globals
+        .iter()
+        .map(|g| ctx.lower_global(g))
+        .collect::<Result<Vec<_>, _>>()?;
+    let functions = program
+        .functions
+        .iter()
+        .map(|f| ctx.lower_function(f).map(Arc::new))
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(Module::from_parts(structs, globals, functions, enum_consts))
+}
+
+/// What lowering one item needs from the rest of its module: the struct
+/// layouts, the enum constants, and the id and type of every global and
+/// function by name. Built once per module, it lowers any of the module's
+/// items on its own, so an edit re-lowers only the items it changed.
+pub struct LowerCtx<'m> {
+    structs: &'m [StructLayout],
+    enum_consts: &'m HashMap<String, i64>,
+    globals: HashMap<&'m str, (GlobalId, &'m CType)>,
+    /// Each function's id and return type.
+    funcs: HashMap<&'m str, (FuncId, &'m CType)>,
+}
+
+impl<'m> LowerCtx<'m> {
+    /// The context of an already lowered module, to lower an item of a
+    /// new generation of it whose globals, functions and types are the
+    /// same, in the same order.
+    pub fn of_module(module: &'m Module) -> LowerCtx<'m> {
+        LowerCtx::new(
+            &module.structs,
+            &module.enum_consts,
+            module.globals.iter().map(|g| (g.name.as_str(), &g.ty)),
+            module.functions.iter().map(|f| (f.name.as_str(), &f.ret)),
+        )
     }
-    for e in &program.enums {
-        for (name, value) in &e.variants {
-            module.enum_consts.insert(name.clone(), *value);
+
+    /// Ids follow input order; a repeated name resolves to its last
+    /// definition.
+    fn new(
+        structs: &'m [StructLayout],
+        enum_consts: &'m HashMap<String, i64>,
+        globals: impl Iterator<Item = (&'m str, &'m CType)>,
+        funcs: impl Iterator<Item = (&'m str, &'m CType)>,
+    ) -> LowerCtx<'m> {
+        LowerCtx {
+            structs,
+            enum_consts,
+            globals: globals
+                .enumerate()
+                .map(|(i, (name, ty))| (name, (GlobalId(i as u32), ty)))
+                .collect(),
+            funcs: funcs
+                .enumerate()
+                .map(|(i, (name, ret))| (name, (FuncId(i as u32), ret)))
+                .collect(),
         }
     }
 
-    // Pre-assign ids so initializers and bodies can reference anything.
-    let global_ids: HashMap<String, GlobalId> = program
-        .globals
-        .iter()
-        .enumerate()
-        .map(|(i, g)| (g.name.clone(), GlobalId(i as u32)))
-        .collect();
-    let func_ids: HashMap<String, FuncId> = program
-        .functions
-        .iter()
-        .enumerate()
-        .map(|(i, f)| (f.name.clone(), FuncId(i as u32)))
-        .collect();
-
-    for g in &program.globals {
+    /// Lowers one global: its type and its constant initializer.
+    pub fn lower_global(&self, g: &GlobalDef) -> Result<GlobalVar, Diagnostic> {
         let init = match &g.init {
-            Some(init) => const_eval_init(init, &g.ty, &module, &global_ids, &func_ids)?,
-            None => ConstVal::zero_of(&g.ty, &module.structs),
+            Some(init) => self.const_eval_init(init, &g.ty)?,
+            None => ConstVal::zero_of(&g.ty, self.structs),
         };
-        module.globals.push(GlobalVar {
+        Ok(GlobalVar {
             name: g.name.clone(),
             ty: g.ty.clone(),
             init,
             span: g.span,
-        });
+        })
     }
 
-    let fn_rets: HashMap<FuncId, CType> = program
-        .functions
-        .iter()
-        .enumerate()
-        .map(|(i, f)| (FuncId(i as u32), f.ret.clone()))
-        .collect();
-
-    for f in &program.functions {
-        let lowered = FuncLowerer::new(&module, &global_ids, &func_ids, &fn_rets, f).lower()?;
-        module.functions.push(std::sync::Arc::new(lowered));
+    /// Lowers one function body.
+    pub fn lower_function(&self, f: &FunctionDef) -> Result<Function, Diagnostic> {
+        FuncLowerer::new(self, f).lower()
     }
-    Ok(module)
+
+    fn struct_layout(&self, name: &str) -> Option<&'m StructLayout> {
+        self.structs.iter().find(|s| s.name == name)
+    }
 }
 
 // --- Constant evaluation of global initializers ---------------------------
 
-fn const_eval_init(
-    init: &Initializer,
-    ty: &CType,
-    module: &Module,
-    globals: &HashMap<String, GlobalId>,
-    funcs: &HashMap<String, FuncId>,
-) -> Result<ConstVal, Diagnostic> {
-    match init {
-        Initializer::Expr(e) => const_eval_expr(e, module, globals, funcs),
-        Initializer::List(items) => {
-            let elem_tys: Vec<CType> = match ty {
-                CType::Array(elem, n) => vec![(**elem).clone(); (*n).max(items.len())],
-                CType::Struct(name) => {
-                    let layout = module.struct_layout(name).ok_or_else(|| {
-                        Diagnostic::new(Span::unknown(), format!("unknown struct `{name}`"))
-                    })?;
-                    layout.fields.iter().map(|(_, t)| t.clone()).collect()
+impl LowerCtx<'_> {
+    fn const_eval_init(&self, init: &Initializer, ty: &CType) -> Result<ConstVal, Diagnostic> {
+        match init {
+            Initializer::Expr(e) => self.const_eval_expr(e),
+            Initializer::List(items) => {
+                let elem_tys: Vec<CType> = match ty {
+                    CType::Array(elem, n) => vec![(**elem).clone(); (*n).max(items.len())],
+                    CType::Struct(name) => {
+                        let layout = self.struct_layout(name).ok_or_else(|| {
+                            Diagnostic::new(Span::unknown(), format!("unknown struct `{name}`"))
+                        })?;
+                        layout.fields.iter().map(|(_, t)| t.clone()).collect()
+                    }
+                    other => {
+                        return Err(Diagnostic::new(
+                            Span::unknown(),
+                            format!("brace initializer for non-aggregate type {other}"),
+                        ))
+                    }
+                };
+                let mut out = Vec::new();
+                for (i, ety) in elem_tys.iter().enumerate() {
+                    match items.get(i) {
+                        Some(item) => out.push(self.const_eval_init(item, ety)?),
+                        None => out.push(ConstVal::zero_of(ety, self.structs)),
+                    }
                 }
-                other => {
-                    return Err(Diagnostic::new(
-                        Span::unknown(),
-                        format!("brace initializer for non-aggregate type {other}"),
-                    ))
-                }
-            };
-            let mut out = Vec::new();
-            for (i, ety) in elem_tys.iter().enumerate() {
-                match items.get(i) {
-                    Some(item) => out.push(const_eval_init(item, ety, module, globals, funcs)?),
-                    None => out.push(ConstVal::zero_of(ety, &module.structs)),
-                }
+                Ok(ConstVal::Aggregate(out))
             }
-            Ok(ConstVal::Aggregate(out))
         }
     }
-}
 
-fn const_eval_expr(
-    e: &Expr,
-    module: &Module,
-    globals: &HashMap<String, GlobalId>,
-    funcs: &HashMap<String, FuncId>,
-) -> Result<ConstVal, Diagnostic> {
-    match &e.kind {
-        ExprKind::IntLit(v) => Ok(ConstVal::Int(*v)),
-        ExprKind::FloatLit(v) => Ok(ConstVal::Float(*v)),
-        ExprKind::StrLit(s) => Ok(ConstVal::Str(s.clone())),
-        ExprKind::CharLit(c) => Ok(ConstVal::Int(*c as i64)),
-        ExprKind::BoolLit(b) => Ok(ConstVal::Bool(*b)),
-        ExprKind::Null => Ok(ConstVal::Null),
-        ExprKind::Unary(UnOp::Neg, inner) => {
-            match const_eval_expr(inner, module, globals, funcs)? {
+    fn const_eval_expr(&self, e: &Expr) -> Result<ConstVal, Diagnostic> {
+        match &e.kind {
+            ExprKind::IntLit(v) => Ok(ConstVal::Int(*v)),
+            ExprKind::FloatLit(v) => Ok(ConstVal::Float(*v)),
+            ExprKind::StrLit(s) => Ok(ConstVal::Str(s.clone())),
+            ExprKind::CharLit(c) => Ok(ConstVal::Int(*c as i64)),
+            ExprKind::BoolLit(b) => Ok(ConstVal::Bool(*b)),
+            ExprKind::Null => Ok(ConstVal::Null),
+            ExprKind::Unary(UnOp::Neg, inner) => match self.const_eval_expr(inner)? {
                 ConstVal::Int(v) => Ok(ConstVal::Int(-v)),
                 ConstVal::Float(v) => Ok(ConstVal::Float(-v)),
                 _ => Err(Diagnostic::new(e.span, "cannot negate this constant")),
-            }
-        }
-        ExprKind::Binary(op, l, r) => {
-            let lv = const_eval_expr(l, module, globals, funcs)?;
-            let rv = const_eval_expr(r, module, globals, funcs)?;
-            match (lv.as_int(), rv.as_int()) {
-                (Some(a), Some(b)) => {
-                    let v = match op {
-                        BinOp::Add => a + b,
-                        BinOp::Sub => a - b,
-                        BinOp::Mul => a * b,
-                        BinOp::Div if b != 0 => a / b,
-                        BinOp::Shl => a << (b & 63),
-                        BinOp::Shr => a >> (b & 63),
-                        BinOp::Or => a | b,
-                        BinOp::And => a & b,
-                        BinOp::Xor => a ^ b,
-                        _ => {
-                            return Err(Diagnostic::new(
-                                e.span,
-                                "unsupported constant binary operator",
-                            ))
-                        }
-                    };
-                    Ok(ConstVal::Int(v))
+            },
+            ExprKind::Binary(op, l, r) => {
+                let lv = self.const_eval_expr(l)?;
+                let rv = self.const_eval_expr(r)?;
+                match (lv.as_int(), rv.as_int()) {
+                    (Some(a), Some(b)) => {
+                        let v = match op {
+                            BinOp::Add => a + b,
+                            BinOp::Sub => a - b,
+                            BinOp::Mul => a * b,
+                            BinOp::Div if b != 0 => a / b,
+                            BinOp::Shl => a << (b & 63),
+                            BinOp::Shr => a >> (b & 63),
+                            BinOp::Or => a | b,
+                            BinOp::And => a & b,
+                            BinOp::Xor => a ^ b,
+                            _ => {
+                                return Err(Diagnostic::new(
+                                    e.span,
+                                    "unsupported constant binary operator",
+                                ))
+                            }
+                        };
+                        Ok(ConstVal::Int(v))
+                    }
+                    _ => Err(Diagnostic::new(e.span, "non-integer constant arithmetic")),
                 }
-                _ => Err(Diagnostic::new(e.span, "non-integer constant arithmetic")),
             }
-        }
-        ExprKind::Ident(name) => {
-            if let Some(v) = module.enum_consts.get(name) {
-                Ok(ConstVal::Int(*v))
-            } else if let Some(f) = funcs.get(name) {
-                Ok(ConstVal::FuncRef(*f))
-            } else {
-                Err(Diagnostic::new(
+            ExprKind::Ident(name) => {
+                if let Some(v) = self.enum_consts.get(name) {
+                    Ok(ConstVal::Int(*v))
+                } else if let Some((f, _)) = self.funcs.get(name.as_str()) {
+                    Ok(ConstVal::FuncRef(*f))
+                } else {
+                    Err(Diagnostic::new(
+                        e.span,
+                        format!("`{name}` is not a constant; use `&{name}` for a global's address"),
+                    ))
+                }
+            }
+            ExprKind::AddrOf(inner) => match &inner.kind {
+                ExprKind::Ident(name) => self
+                    .globals
+                    .get(name.as_str())
+                    .map(|(g, _)| ConstVal::GlobalRef(*g))
+                    .ok_or_else(|| Diagnostic::new(e.span, format!("`&{name}`: unknown global"))),
+                _ => Err(Diagnostic::new(
                     e.span,
-                    format!("`{name}` is not a constant; use `&{name}` for a global's address"),
-                ))
-            }
+                    "only addresses of globals are constant",
+                )),
+            },
+            ExprKind::Sizeof(ty) => Ok(ConstVal::Int(type_size(ty, self.structs) as i64)),
+            _ => Err(Diagnostic::new(e.span, "expression is not a constant")),
         }
-        ExprKind::AddrOf(inner) => match &inner.kind {
-            ExprKind::Ident(name) => globals
-                .get(name)
-                .map(|g| ConstVal::GlobalRef(*g))
-                .ok_or_else(|| Diagnostic::new(e.span, format!("`&{name}`: unknown global"))),
-            _ => Err(Diagnostic::new(
-                e.span,
-                "only addresses of globals are constant",
-            )),
-        },
-        ExprKind::Sizeof(ty) => Ok(ConstVal::Int(type_size(ty, module) as i64)),
-        _ => Err(Diagnostic::new(e.span, "expression is not a constant")),
     }
 }
 
-/// Byte size of a type under the IR's data model.
-pub fn type_size(ty: &CType, module: &Module) -> usize {
+/// Byte size of a type under the IR's data model, given the module's
+/// struct layouts.
+pub fn type_size(ty: &CType, structs: &[StructLayout]) -> usize {
     match ty {
         CType::Void => 0,
         CType::Bool => 1,
@@ -200,10 +243,11 @@ pub fn type_size(ty: &CType, module: &Module) -> usize {
         CType::Float { bits } => (*bits as usize) / 8,
         CType::Ptr(_) | CType::FuncPtr => 8,
         CType::Enum(_) => 4,
-        CType::Array(elem, n) => type_size(elem, module) * n,
-        CType::Struct(name) => module
-            .struct_layout(name)
-            .map(|l| l.fields.iter().map(|(_, t)| type_size(t, module)).sum())
+        CType::Array(elem, n) => type_size(elem, structs) * n,
+        CType::Struct(name) => structs
+            .iter()
+            .find(|s| &s.name == name)
+            .map(|l| l.fields.iter().map(|(_, t)| type_size(t, structs)).sum())
             .unwrap_or(0),
     }
 }
@@ -215,12 +259,9 @@ struct LoopCtx {
     continue_to: BlockId,
 }
 
-struct FuncLowerer<'a> {
-    module: &'a Module,
-    globals: &'a HashMap<String, GlobalId>,
-    funcs: &'a HashMap<String, FuncId>,
-    fn_rets: &'a HashMap<FuncId, CType>,
-    ast: &'a FunctionDef,
+struct FuncLowerer<'c, 'm> {
+    ctx: &'c LowerCtx<'m>,
+    ast: &'c FunctionDef,
     blocks: Vec<Block>,
     cur: BlockId,
     value_types: Vec<CType>,
@@ -230,19 +271,10 @@ struct FuncLowerer<'a> {
     loops: Vec<LoopCtx>,
 }
 
-impl<'a> FuncLowerer<'a> {
-    fn new(
-        module: &'a Module,
-        globals: &'a HashMap<String, GlobalId>,
-        funcs: &'a HashMap<String, FuncId>,
-        fn_rets: &'a HashMap<FuncId, CType>,
-        ast: &'a FunctionDef,
-    ) -> Self {
+impl<'c, 'm> FuncLowerer<'c, 'm> {
+    fn new(ctx: &'c LowerCtx<'m>, ast: &'c FunctionDef) -> Self {
         FuncLowerer {
-            module,
-            globals,
-            funcs,
-            fn_rets,
+            ctx,
             ast,
             blocks: vec![Block::new()],
             cur: BlockId(0),
@@ -275,8 +307,8 @@ impl<'a> FuncLowerer<'a> {
                 self.ast.span,
             );
         }
-        let body = self.ast.body.clone();
-        self.lower_stmts(&body)?;
+        let ast = self.ast;
+        self.lower_stmts(&ast.body)?;
         // Fall-off-the-end: return 0 / void.
         if matches!(
             self.blocks[self.cur.index()].term.0,
@@ -590,7 +622,7 @@ impl<'a> FuncLowerer<'a> {
             ExprKind::BoolLit(b) => Ok(*b as i64),
             ExprKind::Unary(UnOp::Neg, inner) => Ok(-self.case_label_value(inner)?),
             ExprKind::Ident(name) => {
-                self.module.enum_consts.get(name).copied().ok_or_else(|| {
+                self.ctx.enum_consts.get(name).copied().ok_or_else(|| {
                     Diagnostic::new(label.span, format!("`{name}` is not a constant"))
                 })
             }
@@ -691,8 +723,8 @@ impl<'a> FuncLowerer<'a> {
                     );
                     return Ok((v, ty));
                 }
-                if let Some(&g) = self.globals.get(name) {
-                    let ty = self.module.globals[g.index()].ty.clone();
+                if let Some(&(g, ty)) = self.ctx.globals.get(name.as_str()) {
+                    let ty = ty.clone();
                     let v = self.new_value(ty.clone());
                     self.emit(
                         Instr::Load {
@@ -703,11 +735,11 @@ impl<'a> FuncLowerer<'a> {
                     );
                     return Ok((v, ty));
                 }
-                if let Some(&val) = self.module.enum_consts.get(name) {
+                if let Some(&val) = self.ctx.enum_consts.get(name) {
                     let ty = CType::int();
                     return Ok((self.const_value(ConstVal::Int(val), ty.clone(), e.span), ty));
                 }
-                if let Some(&f) = self.funcs.get(name) {
+                if let Some(&(f, _)) = self.ctx.funcs.get(name.as_str()) {
                     let ty = CType::FuncPtr;
                     return Ok((
                         self.const_value(ConstVal::FuncRef(f), ty.clone(), e.span),
@@ -926,7 +958,7 @@ impl<'a> FuncLowerer<'a> {
             }
             ExprKind::Sizeof(ty) => {
                 let out = CType::long();
-                let size = type_size(ty, self.module) as i64;
+                let size = type_size(ty, self.ctx.structs) as i64;
                 Ok((
                     self.const_value(ConstVal::Int(size), out.clone(), e.span),
                     out,
@@ -947,9 +979,8 @@ impl<'a> FuncLowerer<'a> {
         }
         let (target, ret_ty) = match &callee.kind {
             ExprKind::Ident(name) if self.lookup_slot(name).is_none() => {
-                if let Some(&f) = self.funcs.get(name) {
-                    let ret = self.fn_rets.get(&f).cloned().unwrap_or(CType::int());
-                    (Callee::Func(f), ret)
+                if let Some(&(f, ret)) = self.ctx.funcs.get(name.as_str()) {
+                    (Callee::Func(f), ret.clone())
                 } else if let Some(b) = Builtin::from_name(name) {
                     (Callee::Builtin(b), b.ret_type())
                 } else {
@@ -1001,9 +1032,8 @@ impl<'a> FuncLowerer<'a> {
                     let ty = self.slots[slot.index()].ty.clone();
                     return Ok((Place::slot(slot), ty));
                 }
-                if let Some(&g) = self.globals.get(name) {
-                    let ty = self.module.globals[g.index()].ty.clone();
-                    return Ok((Place::global(g), ty));
+                if let Some(&(g, ty)) = self.ctx.globals.get(name.as_str()) {
+                    return Ok((Place::global(g), ty.clone()));
                 }
                 Err(Diagnostic::new(
                     e.span,
@@ -1143,7 +1173,7 @@ impl<'a> FuncLowerer<'a> {
         span: Span,
     ) -> Result<(u32, CType), Diagnostic> {
         let layout = self
-            .module
+            .ctx
             .struct_layout(struct_name)
             .ok_or_else(|| Diagnostic::new(span, format!("unknown struct `{struct_name}`")))?;
         let idx = layout.field_index(field).ok_or_else(|| {

@@ -16,7 +16,30 @@ pub struct Program {
     pub functions: Vec<FunctionDef>,
 }
 
+/// One top-level item of a program.
+#[derive(Debug, Clone)]
+pub enum Item {
+    /// A struct definition.
+    Struct(StructDef),
+    /// An enum definition.
+    Enum(EnumDef),
+    /// A global variable.
+    Global(GlobalDef),
+    /// A function definition.
+    Function(FunctionDef),
+}
+
 impl Program {
+    /// Appends an item to the list of its kind.
+    pub fn push(&mut self, item: Item) {
+        match item {
+            Item::Struct(s) => self.structs.push(s),
+            Item::Enum(e) => self.enums.push(e),
+            Item::Global(g) => self.globals.push(g),
+            Item::Function(f) => self.functions.push(f),
+        }
+    }
+
     /// Looks up a struct definition by name.
     pub fn struct_def(&self, name: &str) -> Option<&StructDef> {
         self.structs.iter().find(|s| s.name == name)

@@ -1,10 +1,13 @@
 //! Hand-written lexer for the mini-C language.
 
 use crate::diag::{Diagnostic, Span};
-use crate::token::{keyword, Token, TokenKind};
+use crate::token::{escaped, keyword, Token, TokenKind};
 
-/// Converts source text into a token stream.
+/// Converts source text into a token stream. Identifiers and string
+/// literals are slices of the source, so lexing allocates only the token
+/// vector.
 pub struct Lexer<'a> {
+    text: &'a str,
     src: &'a [u8],
     pos: usize,
     line: u32,
@@ -15,6 +18,7 @@ impl<'a> Lexer<'a> {
     /// Creates a lexer over `src`.
     pub fn new(src: &'a str) -> Self {
         Lexer {
+            text: src,
             src: src.as_bytes(),
             pos: 0,
             line: 1,
@@ -23,8 +27,10 @@ impl<'a> Lexer<'a> {
     }
 
     /// Lexes the whole input, ending with an [`TokenKind::Eof`] token.
-    pub fn lex(mut self) -> Result<Vec<Token>, Diagnostic> {
-        let mut out = Vec::new();
+    pub fn lex(mut self) -> Result<Vec<Token<'a>>, Diagnostic> {
+        // Code runs about one token per five bytes; room for one per four
+        // spares the vector a regrowth.
+        let mut out = Vec::with_capacity(self.src.len() / 4 + 1);
         loop {
             self.skip_trivia()?;
             let span = self.span();
@@ -53,6 +59,15 @@ impl<'a> Lexer<'a> {
         *self.src.get(self.pos + 1).unwrap_or(&0)
     }
 
+    /// Skips the bytes `keep` accepts in one step; `keep` must reject
+    /// `\n`, so only the column moves.
+    fn skip_run(&mut self, keep: impl Fn(u8) -> bool) {
+        let rest = self.src.get(self.pos..).unwrap_or_default();
+        let run = rest.iter().take_while(|&&b| keep(b)).count();
+        self.pos += run;
+        self.col += run as u32;
+    }
+
     fn bump(&mut self) -> u8 {
         let c = self.peek();
         self.pos += 1;
@@ -68,14 +83,11 @@ impl<'a> Lexer<'a> {
     fn skip_trivia(&mut self) -> Result<(), Diagnostic> {
         loop {
             match self.peek() {
-                b' ' | b'\t' | b'\r' | b'\n' => {
+                b' ' | b'\t' | b'\r' => self.skip_run(|b| matches!(b, b' ' | b'\t' | b'\r')),
+                b'\n' => {
                     self.bump();
                 }
-                b'/' if self.peek2() == b'/' => {
-                    while !self.at_end() && self.peek() != b'\n' {
-                        self.bump();
-                    }
-                }
+                b'/' if self.peek2() == b'/' => self.skip_run(|b| b != b'\n'),
                 b'/' if self.peek2() == b'*' => {
                     let start = self.span();
                     self.bump();
@@ -94,11 +106,7 @@ impl<'a> Lexer<'a> {
                 }
                 // Preprocessor-style lines are tolerated and skipped so that
                 // excerpts of real C code can be pasted into subject systems.
-                b'#' if self.col == 1 => {
-                    while !self.at_end() && self.peek() != b'\n' {
-                        self.bump();
-                    }
-                }
+                b'#' if self.col == 1 => self.skip_run(|b| b != b'\n'),
                 _ => return Ok(()),
             }
             if self.at_end() {
@@ -107,7 +115,7 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn next_token(&mut self) -> Result<TokenKind, Diagnostic> {
+    fn next_token(&mut self) -> Result<TokenKind<'a>, Diagnostic> {
         let c = self.peek();
         match c {
             b'0'..=b'9' => self.lex_number(),
@@ -118,34 +126,29 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn lex_ident(&mut self) -> TokenKind {
+    fn lex_ident(&mut self) -> TokenKind<'a> {
         let start = self.pos;
-        while matches!(self.peek(), b'a'..=b'z' | b'A'..=b'Z' | b'0'..=b'9' | b'_') {
-            self.bump();
-        }
-        let text = std::str::from_utf8(&self.src[start..self.pos]).expect("ascii ident");
-        keyword(text).unwrap_or_else(|| TokenKind::Ident(text.to_string()))
+        self.skip_run(|b| b.is_ascii_alphanumeric() || b == b'_');
+        // ASCII bytes on both ends, so the slice is on char boundaries.
+        let text = &self.text[start..self.pos];
+        keyword(text).unwrap_or(TokenKind::Ident(text))
     }
 
-    fn lex_number(&mut self) -> Result<TokenKind, Diagnostic> {
+    fn lex_number(&mut self) -> Result<TokenKind<'a>, Diagnostic> {
         let span = self.span();
         let start = self.pos;
         if self.peek() == b'0' && (self.peek2() == b'x' || self.peek2() == b'X') {
             self.bump();
             self.bump();
             let hex_start = self.pos;
-            while self.peek().is_ascii_hexdigit() {
-                self.bump();
-            }
+            self.skip_run(|b| b.is_ascii_hexdigit());
             let text = std::str::from_utf8(&self.src[hex_start..self.pos]).expect("ascii");
             let value = i64::from_str_radix(text, 16)
                 .map_err(|_| Diagnostic::new(span, format!("invalid hex literal 0x{text}")))?;
             let long = self.eat_int_suffix();
             return Ok(TokenKind::Int(value, long));
         }
-        while self.peek().is_ascii_digit() {
-            self.bump();
-        }
+        self.skip_run(|b| b.is_ascii_digit());
         // Float: digits '.' digits, optionally exponent.
         if self.peek() == b'.' && self.peek2().is_ascii_digit() {
             self.bump();
@@ -186,24 +189,27 @@ impl<'a> Lexer<'a> {
         long
     }
 
-    fn lex_string(&mut self) -> Result<TokenKind, Diagnostic> {
+    fn lex_string(&mut self) -> Result<TokenKind<'a>, Diagnostic> {
         let span = self.span();
         self.bump(); // Opening quote.
-        let mut s = String::new();
+        let start = self.pos;
         loop {
             if self.at_end() {
                 return Err(Diagnostic::new(span, "unterminated string literal"));
             }
             match self.bump() {
                 b'"' => break,
-                b'\\' => s.push(self.escape(span)?),
-                c => s.push(c as char),
+                b'\\' => {
+                    self.escape(span)?;
+                }
+                _ => {}
             }
         }
-        Ok(TokenKind::Str(s))
+        // Between two ASCII quotes, so the slice is on char boundaries.
+        Ok(TokenKind::Str(&self.text[start..self.pos - 1]))
     }
 
-    fn lex_char(&mut self) -> Result<TokenKind, Diagnostic> {
+    fn lex_char(&mut self) -> Result<TokenKind<'a>, Diagnostic> {
         let span = self.span();
         self.bump(); // Opening quote.
         let c = match self.bump() {
@@ -218,28 +224,17 @@ impl<'a> Lexer<'a> {
     }
 
     fn escape(&mut self, span: Span) -> Result<char, Diagnostic> {
-        Ok(match self.bump() {
-            b'n' => '\n',
-            b't' => '\t',
-            b'r' => '\r',
-            b'0' => '\0',
-            b'\\' => '\\',
-            b'\'' => '\'',
-            b'"' => '"',
-            c => {
-                return Err(Diagnostic::new(
-                    span,
-                    format!("unknown escape sequence \\{}", c as char),
-                ))
-            }
+        let c = self.bump();
+        escaped(c).ok_or_else(|| {
+            Diagnostic::new(span, format!("unknown escape sequence \\{}", c as char))
         })
     }
 
-    fn lex_punct(&mut self) -> Result<TokenKind, Diagnostic> {
+    fn lex_punct(&mut self) -> Result<TokenKind<'a>, Diagnostic> {
         use TokenKind::*;
         let span = self.span();
         let c = self.bump();
-        let two = |l: &mut Self, next: u8, yes: TokenKind, no: TokenKind| {
+        let two = |l: &mut Self, next: u8, yes: TokenKind<'a>, no: TokenKind<'a>| {
             if l.peek() == next {
                 l.bump();
                 yes
@@ -332,7 +327,7 @@ mod tests {
     use super::*;
     use crate::token::TokenKind as T;
 
-    fn kinds(src: &str) -> Vec<T> {
+    fn kinds(src: &str) -> Vec<T<'_>> {
         Lexer::new(src)
             .lex()
             .unwrap()
@@ -345,13 +340,7 @@ mod tests {
     fn lexes_simple_assignment() {
         assert_eq!(
             kinds("x = 42;"),
-            vec![
-                T::Ident("x".into()),
-                T::Eq,
-                T::Int(42, false),
-                T::Semi,
-                T::Eof
-            ]
+            vec![T::Ident("x"), T::Eq, T::Int(42, false), T::Semi, T::Eof]
         );
     }
 
@@ -359,7 +348,7 @@ mod tests {
     fn lexes_keywords_and_idents() {
         assert_eq!(
             kinds("if while listener"),
-            vec![T::KwIf, T::KwWhile, T::Ident("listener".into()), T::Eof]
+            vec![T::KwIf, T::KwWhile, T::Ident("listener"), T::Eof]
         );
     }
 
@@ -378,10 +367,7 @@ mod tests {
 
     #[test]
     fn lexes_string_with_escapes() {
-        assert_eq!(
-            kinds(r#""a\nb\"c""#),
-            vec![T::Str("a\nb\"c".into()), T::Eof]
-        );
+        assert_eq!(kinds(r#""a\nb\"c""#), vec![T::Str(r#"a\nb\"c"#), T::Eof]);
     }
 
     #[test]
@@ -394,16 +380,13 @@ mod tests {
     fn skips_comments() {
         assert_eq!(
             kinds("a // line\n/* block\nmore */ b"),
-            vec![T::Ident("a".into()), T::Ident("b".into()), T::Eof]
+            vec![T::Ident("a"), T::Ident("b"), T::Eof]
         );
     }
 
     #[test]
     fn skips_preprocessor_lines() {
-        assert_eq!(
-            kinds("#include <stdio.h>\nx"),
-            vec![T::Ident("x".into()), T::Eof]
-        );
+        assert_eq!(kinds("#include <stdio.h>\nx"), vec![T::Ident("x"), T::Eof]);
     }
 
     #[test]
@@ -411,13 +394,13 @@ mod tests {
         assert_eq!(
             kinds("a->b <<= 1 && c >= 2"),
             vec![
-                T::Ident("a".into()),
+                T::Ident("a"),
                 T::Arrow,
-                T::Ident("b".into()),
+                T::Ident("b"),
                 T::ShlEq,
                 T::Int(1, false),
                 T::AmpAmp,
-                T::Ident("c".into()),
+                T::Ident("c"),
                 T::Ge,
                 T::Int(2, false),
                 T::Eof
@@ -451,11 +434,11 @@ mod tests {
         assert_eq!(
             kinds("a ? b : c"),
             vec![
-                T::Ident("a".into()),
+                T::Ident("a"),
                 T::Question,
-                T::Ident("b".into()),
+                T::Ident("b"),
                 T::Colon,
-                T::Ident("c".into()),
+                T::Ident("c"),
                 T::Eof
             ]
         );

@@ -30,21 +30,22 @@
 pub mod ast;
 pub mod builtins;
 pub mod diag;
+pub mod items;
 pub mod lexer;
 pub mod parser;
 pub mod token;
 pub mod types;
 
-pub use ast::Program;
+pub use ast::{Item, Program};
 pub use builtins::Builtin;
 pub use diag::{Diagnostic, Span};
 pub use types::CType;
 
-/// Parses mini-C source text into a [`Program`].
+/// Parses mini-C source text into a [`Program`], one item at a time.
 ///
 /// This is the main entry point of the crate. Returns the first diagnostic
 /// encountered on malformed input.
 pub fn parse_program(src: &str) -> Result<Program, Diagnostic> {
     let tokens = lexer::Lexer::new(src).lex()?;
-    parser::Parser::new(tokens).parse_program()
+    parser::Parser::new(&tokens, 0).parse_program()
 }

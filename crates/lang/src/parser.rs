@@ -3,7 +3,8 @@
 //! Grammar summary (C subset, plus the `fnptr` type for function pointers):
 //!
 //! ```text
-//! program   := (struct_def | enum_def | global | function)*
+//! program   := item*
+//! item      := struct_def | enum_def | global | function
 //! struct_def:= "struct" IDENT "{" (type IDENT ("[" INT "]")? ";")* "}" ";"
 //! enum_def  := "enum" IDENT "{" IDENT ("=" INT)? ("," ...)* "}" ";"
 //! global    := quals type IDENT ("[" INT? "]")? ("=" initializer)? ";"
@@ -12,10 +13,16 @@
 //!
 //! Expressions follow C precedence. Assignment and the ternary operator are
 //! right-associative; all binary operators are left-associative.
+//!
+//! A program is parsed one top-level item at a time ([`Parser::parse_item`]).
+//! The parse of a well-formed item reads only its own tokens: nothing
+//! before its first token, nothing after its last. So an item parses the
+//! same wherever it sits, which is what lets an edit re-parse only the
+//! items it changed (see [`crate::items`]).
 
 use crate::ast::*;
 use crate::diag::{Diagnostic, Span};
-use crate::token::{Token, TokenKind};
+use crate::token::{unescape, Token, TokenKind};
 use crate::types::CType;
 
 /// The deepest nesting the parser builds. Nested statements, expressions
@@ -26,53 +33,82 @@ use crate::types::CType;
 /// overflow here, in lowering, or when the tree is dropped.
 pub const MAX_NESTING: usize = 128;
 
-/// Recursive-descent parser state.
-pub struct Parser {
-    tokens: Vec<Token>,
+/// Recursive-descent parser state over a borrowed token stream.
+pub struct Parser<'t, 'a> {
+    tokens: &'t [Token<'a>],
     pos: usize,
     /// Nesting levels open at `pos` (see [`MAX_NESTING`]).
     depth: usize,
 }
 
-impl Parser {
-    /// Creates a parser over a token stream (must end with `Eof`).
-    pub fn new(tokens: Vec<Token>) -> Self {
+impl<'t, 'a> Parser<'t, 'a> {
+    /// Creates a parser at token `pos` of a token stream (which must end
+    /// with `Eof`).
+    pub fn new(tokens: &'t [Token<'a>], pos: usize) -> Self {
         Parser {
             tokens,
-            pos: 0,
+            pos,
             depth: 0,
         }
     }
 
-    /// Parses a whole translation unit.
+    /// Parses a whole translation unit: every item up to `Eof`.
     pub fn parse_program(mut self) -> Result<Program, Diagnostic> {
         let mut program = Program::default();
-        while !self.check(&TokenKind::Eof) {
-            // Leading qualifiers are accepted and ignored.
-            while matches!(
-                self.peek(),
-                TokenKind::KwStatic | TokenKind::KwConst | TokenKind::KwExtern
-            ) {
-                self.bump();
-            }
-            if self.check(&TokenKind::KwStruct) && self.peek_is_struct_def() {
-                program.structs.push(self.parse_struct_def()?);
-            } else if self.check(&TokenKind::KwEnum) && self.peek_is_enum_def() {
-                program.enums.push(self.parse_enum_def()?);
-            } else {
-                self.parse_global_or_function(&mut program)?;
-            }
+        while !self.at_end() {
+            program.push(self.parse_item()?);
         }
         Ok(program)
     }
 
+    /// Whether the cursor has reached `Eof`.
+    pub fn at_end(&self) -> bool {
+        self.check(&TokenKind::Eof)
+    }
+
+    /// The index of the next token to parse.
+    pub fn pos(&self) -> usize {
+        self.pos
+    }
+
+    /// Parses the top-level item at the cursor, leaving the cursor just
+    /// past its last token.
+    pub fn parse_item(&mut self) -> Result<Item, Diagnostic> {
+        self.skip_qualifiers();
+        if self.check(&TokenKind::KwStruct) && self.peek_is_struct_def() {
+            Ok(Item::Struct(self.parse_struct_def()?))
+        } else if self.check(&TokenKind::KwEnum) && self.peek_is_enum_def() {
+            Ok(Item::Enum(self.parse_enum_def()?))
+        } else {
+            self.parse_global_or_function()
+        }
+    }
+
+    /// The span [`parse_item`](Parser::parse_item) gives the global or
+    /// function item at the cursor — its name's — reading only the item's
+    /// qualifiers, type and name.
+    pub fn item_name_span(&mut self) -> Result<Span, Diagnostic> {
+        self.skip_qualifiers();
+        Ok(self.parse_type_and_name()?.2)
+    }
+
+    /// Leading qualifiers are accepted and ignored.
+    fn skip_qualifiers(&mut self) {
+        while matches!(
+            self.peek(),
+            TokenKind::KwStatic | TokenKind::KwConst | TokenKind::KwExtern
+        ) {
+            self.bump();
+        }
+    }
+
     // --- Token helpers -----------------------------------------------------
 
-    fn peek(&self) -> &TokenKind {
+    fn peek(&self) -> &TokenKind<'a> {
         &self.tokens[self.pos].kind
     }
 
-    fn peek_n(&self, n: usize) -> &TokenKind {
+    fn peek_n(&self, n: usize) -> &TokenKind<'a> {
         &self
             .tokens
             .get(self.pos + n)
@@ -84,8 +120,8 @@ impl Parser {
         self.tokens[self.pos].span
     }
 
-    fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos].clone();
+    fn bump(&mut self) -> Token<'a> {
+        let t = self.tokens[self.pos];
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
@@ -105,7 +141,7 @@ impl Parser {
         }
     }
 
-    fn expect(&mut self, kind: &TokenKind) -> Result<Token, Diagnostic> {
+    fn expect(&mut self, kind: &TokenKind) -> Result<Token<'a>, Diagnostic> {
         if self.check(kind) {
             Ok(self.bump())
         } else {
@@ -118,10 +154,10 @@ impl Parser {
 
     fn expect_ident(&mut self) -> Result<(String, Span), Diagnostic> {
         let span = self.span();
-        match self.peek().clone() {
+        match *self.peek() {
             TokenKind::Ident(name) => {
                 self.bump();
-                Ok((name, span))
+                Ok((name.to_string(), span))
             }
             other => Err(Diagnostic::new(
                 span,
@@ -145,7 +181,7 @@ impl Parser {
     /// Runs one recursive production a nesting level deeper.
     fn nested<T>(
         &mut self,
-        parse: fn(&mut Parser) -> Result<T, Diagnostic>,
+        parse: fn(&mut Self) -> Result<T, Diagnostic>,
     ) -> Result<T, Diagnostic> {
         let outer = self.depth;
         self.descend()?;
@@ -171,7 +207,7 @@ impl Parser {
                 | TokenKind::KwSigned
                 | TokenKind::KwStruct
                 | TokenKind::KwEnum
-        ) || matches!(self.peek(), TokenKind::Ident(n) if n == "fnptr")
+        ) || matches!(self.peek(), TokenKind::Ident("fnptr"))
     }
 
     fn parse_type(&mut self) -> Result<CType, Diagnostic> {
@@ -182,7 +218,7 @@ impl Parser {
             saw_sign = true;
             self.bump();
         }
-        let base = match self.peek().clone() {
+        let base = match *self.peek() {
             TokenKind::KwVoid => {
                 self.bump();
                 CType::Void
@@ -228,7 +264,7 @@ impl Parser {
                 let (name, _) = self.expect_ident()?;
                 CType::Enum(name)
             }
-            TokenKind::Ident(n) if n == "fnptr" => {
+            TokenKind::Ident("fnptr") => {
                 self.bump();
                 CType::FuncPtr
             }
@@ -317,7 +353,7 @@ impl Parser {
 
     fn parse_const_int(&mut self) -> Result<i64, Diagnostic> {
         let neg = self.eat(&TokenKind::Minus);
-        match self.peek().clone() {
+        match *self.peek() {
             TokenKind::Int(v, _) => {
                 self.bump();
                 Ok(if neg { -v } else { v })
@@ -329,19 +365,21 @@ impl Parser {
         }
     }
 
-    fn parse_global_or_function(&mut self, program: &mut Program) -> Result<(), Diagnostic> {
+    fn parse_global_or_function(&mut self) -> Result<Item, Diagnostic> {
+        let (ty, name, span) = self.parse_type_and_name()?;
+        if self.check(&TokenKind::LParen) {
+            Ok(Item::Function(self.parse_function_rest(ty, name, span)?))
+        } else {
+            Ok(Item::Global(self.parse_global_rest(ty, name, span)?))
+        }
+    }
+
+    /// A global's or function's type and name, and the name's span (the
+    /// item's span).
+    fn parse_type_and_name(&mut self) -> Result<(CType, String, Span), Diagnostic> {
         let ty = self.parse_type()?;
         let (name, span) = self.expect_ident()?;
-        if self.check(&TokenKind::LParen) {
-            program
-                .functions
-                .push(self.parse_function_rest(ty, name, span)?);
-        } else {
-            program
-                .globals
-                .push(self.parse_global_rest(ty, name, span)?);
-        }
-        Ok(())
+        Ok((ty, name, span))
     }
 
     fn parse_global_rest(
@@ -461,7 +499,7 @@ impl Parser {
 
     fn stmt(&mut self) -> Result<Stmt, Diagnostic> {
         let span = self.span();
-        match self.peek().clone() {
+        match *self.peek() {
             TokenKind::LBrace => Ok(Stmt::Block(self.parse_block()?)),
             TokenKind::KwIf => self.parse_if(),
             TokenKind::KwWhile => {
@@ -768,7 +806,7 @@ impl Parser {
 
     fn unary(&mut self) -> Result<Expr, Diagnostic> {
         let span = self.span();
-        match self.peek().clone() {
+        match *self.peek() {
             TokenKind::Minus => {
                 self.bump();
                 let e = self.parse_unary()?;
@@ -833,7 +871,7 @@ impl Parser {
         let mut e = self.parse_primary()?;
         loop {
             let span = self.span();
-            match self.peek().clone() {
+            match *self.peek() {
                 TokenKind::LParen => {
                     self.bump();
                     let mut args = Vec::new();
@@ -906,7 +944,7 @@ impl Parser {
 
     fn parse_primary(&mut self) -> Result<Expr, Diagnostic> {
         let span = self.span();
-        match self.peek().clone() {
+        match *self.peek() {
             TokenKind::Int(v, _) => {
                 self.bump();
                 Ok(Expr::new(ExprKind::IntLit(v), span))
@@ -917,7 +955,7 @@ impl Parser {
             }
             TokenKind::Str(s) => {
                 self.bump();
-                Ok(Expr::new(ExprKind::StrLit(s), span))
+                Ok(Expr::new(ExprKind::StrLit(unescape(s)), span))
             }
             TokenKind::Char(c) => {
                 self.bump();
@@ -937,7 +975,7 @@ impl Parser {
             }
             TokenKind::Ident(name) => {
                 self.bump();
-                Ok(Expr::new(ExprKind::Ident(name), span))
+                Ok(Expr::new(ExprKind::Ident(name.to_string()), span))
             }
             TokenKind::LParen => {
                 self.bump();
@@ -953,7 +991,7 @@ impl Parser {
     }
 }
 
-impl TokenKind {
+impl TokenKind<'_> {
     /// Whether this token can begin a type (used to disambiguate casts).
     fn is_type_start_token(&self) -> bool {
         matches!(

@@ -2,22 +2,25 @@
 
 use crate::diag::Span;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
-/// A lexical token kind.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind {
+/// A lexical token kind. Identifiers and string literals borrow the source
+/// text, so lexing allocates nothing per token and a token is `Copy`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum TokenKind<'a> {
     // Literals.
     /// Integer literal (decimal, hex `0x`, or octal `0`), value and whether a
     /// `L`/`LL` suffix was present.
     Int(i64, bool),
     /// Floating-point literal.
     Float(f64),
-    /// String literal with escapes resolved.
-    Str(String),
+    /// String literal: the source text between the quotes, escapes
+    /// validated but not resolved (see [`unescape`]).
+    Str(&'a str),
     /// Character literal.
     Char(char),
     /// Identifier or keyword candidate.
-    Ident(String),
+    Ident(&'a str),
 
     // Keywords.
     KwInt,
@@ -102,13 +105,60 @@ pub enum TokenKind {
     Eof,
 }
 
-impl fmt::Display for TokenKind {
+/// Hashes what the parser reads of a token: its kind and payload, never
+/// its position (the key of an item, see [`crate::items`]).
+impl Hash for TokenKind<'_> {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        std::mem::discriminant(self).hash(h);
+        match self {
+            TokenKind::Int(v, long) => {
+                v.hash(h);
+                long.hash(h);
+            }
+            TokenKind::Float(v) => v.to_bits().hash(h),
+            TokenKind::Str(s) | TokenKind::Ident(s) => s.hash(h),
+            TokenKind::Char(c) => c.hash(h),
+            _ => {}
+        }
+    }
+}
+
+/// Resolves the escapes of a string literal's source text (the lexer has
+/// validated them). Each other byte becomes the `char` of that value, as
+/// the lexer has always read string bytes.
+pub fn unescape(raw: &str) -> String {
+    let mut out = String::with_capacity(raw.len());
+    let mut bytes = raw.bytes();
+    while let Some(b) = bytes.next() {
+        out.push(match b {
+            b'\\' => escaped(bytes.next().unwrap_or(0)).unwrap_or('\\'),
+            b => b as char,
+        });
+    }
+    out
+}
+
+/// The character an escape `\c` stands for, if `c` names one.
+pub(crate) fn escaped(c: u8) -> Option<char> {
+    Some(match c {
+        b'n' => '\n',
+        b't' => '\t',
+        b'r' => '\r',
+        b'0' => '\0',
+        b'\\' => '\\',
+        b'\'' => '\'',
+        b'"' => '"',
+        _ => return None,
+    })
+}
+
+impl fmt::Display for TokenKind<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         use TokenKind::*;
         match self {
             Int(v, _) => write!(f, "{v}"),
             Float(v) => write!(f, "{v}"),
-            Str(s) => write!(f, "{s:?}"),
+            Str(s) => write!(f, "{:?}", unescape(s)),
             Char(c) => write!(f, "'{c}'"),
             Ident(s) => write!(f, "{s}"),
             KwInt => write!(f, "int"),
@@ -192,23 +242,23 @@ impl fmt::Display for TokenKind {
 }
 
 /// A token with its source location.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Token<'a> {
     /// What kind of token this is.
-    pub kind: TokenKind,
+    pub kind: TokenKind<'a>,
     /// Where the token starts.
     pub span: Span,
 }
 
-impl Token {
+impl<'a> Token<'a> {
     /// Creates a token.
-    pub fn new(kind: TokenKind, span: Span) -> Self {
+    pub fn new(kind: TokenKind<'a>, span: Span) -> Self {
         Token { kind, span }
     }
 }
 
 /// Maps an identifier to its keyword kind, if it is a keyword.
-pub fn keyword(ident: &str) -> Option<TokenKind> {
+pub fn keyword(ident: &str) -> Option<TokenKind<'static>> {
     use TokenKind::*;
     Some(match ident {
         "int" => KwInt,
@@ -254,6 +304,16 @@ mod tests {
         assert_eq!(keyword("if"), Some(TokenKind::KwIf));
         assert_eq!(keyword("switch"), Some(TokenKind::KwSwitch));
         assert_eq!(keyword("listener_threads"), None);
+    }
+
+    #[test]
+    fn string_tokens_keep_source_text_and_unescape_on_demand() {
+        let raw = r#"a\tb\"c\\"#;
+        assert_eq!(unescape(raw), "a\tb\"c\\");
+        assert_eq!(TokenKind::Str(raw).to_string(), r#""a\tb\"c\\""#);
+        // A byte outside ASCII reads as the char of its value, as lexing
+        // always has.
+        assert_eq!(unescape("é"), "\u{c3}\u{a9}");
     }
 
     #[test]

@@ -127,15 +127,25 @@ pub fn enabled() -> bool {
 /// Installs `recorder` as the current thread's telemetry sink until the
 /// returned guard drops (restoring whatever was installed before, so
 /// installs nest). Spans opened under the install aggregate into the
-/// recorder; worker threads must install separately — thread-locals do
-/// not cross `spawn`.
+/// recorder, starting at the top of its span tree; worker threads must
+/// install separately — thread-locals do not cross `spawn` — and do so
+/// with [`install_under`] to nest below the span that fanned out.
 #[must_use = "telemetry stops when the install guard drops"]
 pub fn install(recorder: &Arc<Recorder>) -> InstallGuard {
+    install_under(recorder, Vec::new())
+}
+
+/// Like [`install`], but spans opened under this install nest below
+/// `path` — the caller's [`current_path`], handed to a pool worker along
+/// with the recorder, so work fanned out from a span stays inside it at
+/// every thread count.
+#[must_use = "telemetry stops when the install guard drops"]
+pub fn install_under(recorder: &Arc<Recorder>, path: Vec<String>) -> InstallGuard {
     let prev = CURRENT
         .try_with(|c| {
             c.borrow_mut().replace(ThreadCtx {
                 recorder: Arc::clone(recorder),
-                path: Vec::new(),
+                path,
             })
         })
         .unwrap_or(None);
@@ -143,10 +153,20 @@ pub fn install(recorder: &Arc<Recorder>) -> InstallGuard {
     InstallGuard { prev }
 }
 
+/// The span path the current thread is inside (empty when none is open
+/// or no recorder is installed here), for [`install_under`].
+pub fn current_path() -> Vec<String> {
+    CURRENT
+        .try_with(|c| c.borrow().as_ref().map(|ctx| ctx.path.clone()))
+        .ok()
+        .flatten()
+        .unwrap_or_default()
+}
+
 /// The recorder installed on the current thread, if any — for handing the
 /// sink across a worker-pool boundary (thread-locals do not cross `spawn`,
-/// so a pool must capture the caller's recorder and [`install`] it on each
-/// worker).
+/// so a pool must capture the caller's recorder and [`current_path`] and
+/// [`install_under`] them on each worker).
 pub fn current_recorder() -> Option<Arc<Recorder>> {
     CURRENT
         .try_with(|c| c.borrow().as_ref().map(|ctx| Arc::clone(&ctx.recorder)))

@@ -31,8 +31,10 @@ use std::time::Instant;
 /// (thread-locals do not cross `spawn`, so the caller's install alone
 /// would leave workers silent) and reports per-worker job counts and
 /// utilization, per-job queue-depth samples, and pool-wide totals into
-/// it. Spans opened inside `make` re-root at the worker's top level —
-/// the per-job span tree is the same shape at every thread count.
+/// it. Each worker installs it under the caller's span path, so spans
+/// opened inside `make` nest below the span that called the pool — the
+/// same tree the caller would record running the jobs itself, at every
+/// thread count.
 pub fn run_indexed<T, F>(
     threads: usize,
     n: usize,
@@ -44,6 +46,12 @@ where
     F: Fn(usize) -> T + Sync,
 {
     let workers = threads.max(1).min(n.max(1));
+    let parent = recorder.map(|_| spex_obs::current_path());
+    let install = || {
+        recorder
+            .zip(parent.clone())
+            .map(|(rec, path)| spex_obs::install_under(rec, path))
+    };
     if let Some(rec) = recorder {
         let _telemetry = spex_obs::install(rec);
         spex_obs::counter("pool.runs", 1);
@@ -51,7 +59,7 @@ where
         spex_obs::gauge("pool.workers", workers as i64);
     }
     if workers <= 1 {
-        let _telemetry = recorder.map(spex_obs::install);
+        let _telemetry = install();
         return (0..n)
             .map(|i| {
                 spex_obs::observe("pool.queue.depth", (n - i) as u64);
@@ -67,8 +75,9 @@ where
                 let cursor = &cursor;
                 let slots = &slots;
                 let make = &make;
+                let install = &install;
                 move || {
-                    let _telemetry = recorder.map(spex_obs::install);
+                    let _telemetry = install();
                     let started = spex_obs::clock();
                     let mut jobs = 0u64;
                     let mut busy_ns = 0u128;

@@ -207,3 +207,39 @@ fn react_cache_counters_match_the_report_once() {
         warm.passes.react_cache_hits as u64
     );
 }
+
+/// Work a pool job does nests under the span that fanned it out, at any
+/// thread count: each module's analysis sits under `workspace.reanalyze`,
+/// and the span tree and every count come out the same at 1, 2 and 8
+/// threads.
+#[test]
+fn pool_jobs_nest_under_the_callers_span() {
+    let run = |threads: usize| {
+        let mut ws = Workspace::new("Test", Dialect::KeyValue)
+            .with_threads(threads)
+            .with_telemetry();
+        let second = BASE.replace("threads", "workers").replace("nap", "pause");
+        ws.add_modules(&[("a.c", BASE, ANN), ("b.c", second.as_str(), ANN)])
+            .unwrap();
+        ws.reanalyze();
+        ws.telemetry()
+    };
+    for threads in [1, 2] {
+        let snap = run(threads);
+        let modules: Vec<&String> = snap
+            .spans
+            .keys()
+            .filter(|path| path.contains("workspace.module{"))
+            .collect();
+        assert!(!modules.is_empty(), "{}", snap.render_text());
+        for path in modules {
+            assert!(
+                path.starts_with("workspace.reanalyze/"),
+                "{path} at {threads} threads"
+            );
+        }
+    }
+    let one = run(1).counts_signature();
+    assert_eq!(one, run(2).counts_signature());
+    assert_eq!(one, run(8).counts_signature());
+}

@@ -859,3 +859,79 @@ fn incremental_multi_module_db_serializes_byte_identical_to_fresh() {
     let back = ConstraintDb::load_from_str(&a).unwrap();
     assert_eq!(back.save_to_string(), a);
 }
+
+/// Inserting a function between a caller and its callee shifts the
+/// callee's index. The caller's printed IR names its callee, so its
+/// fingerprint is unchanged; reusing its previous allocation would keep
+/// `Callee::Func` ids that now name the inserted function. Such an edit
+/// re-infers the module whole instead, and the warm db stays equal to a
+/// fresh one through the insertion and a later edit of the callee.
+#[test]
+fn a_function_inserted_mid_module_leaves_no_stale_callee_ids() {
+    const CALLS: &str = r#"
+        int port = 8080;
+        struct opt { char* name; int* var; };
+        struct opt options[] = { { "port", &port } };
+        void startup() { check_port(port); }
+        void check_port(int v) { if (v < 1 || v > 65535) { exit(1); } }
+    "#;
+    let inserted = CALLS.replace("void check_port", "void zzz() { }\n        void check_port");
+    let tightened = inserted.replace("v > 65535", "v > 1000");
+    let fresh = |source: &str| {
+        let mut ws = workspace_over(source);
+        ws.reanalyze();
+        ws.db().save_to_string()
+    };
+    let mut ws = workspace_over(CALLS);
+    ws.reanalyze();
+    for source in [&inserted, &tightened] {
+        ws.update_module("main.c", source).unwrap();
+        ws.reanalyze();
+        assert_eq!(ws.db().save_to_string(), fresh(source), "{source}");
+    }
+    assert_eq!(
+        ws.check_text("port = 5000\n").len(),
+        1,
+        "the new bound holds"
+    );
+    assert_eq!(ws.function_clones(), 0);
+}
+
+/// A module function named like a builtin takes the calls by that name,
+/// yet the caller's printed IR, and so its fingerprint, names both alike.
+/// Appending one after its callers, or removing one defined last, keeps
+/// every other function's index; the callers must still be lowered again,
+/// or they keep calling the builtin, or a function id past the end.
+#[test]
+fn a_function_named_like_a_builtin_coming_or_going_relowers_its_callers() {
+    const CALLS: &str = r#"
+        char* port_text = "8080";
+        int port = 8080;
+        struct opt { char* name; int* var; };
+        struct opt options[] = { { "port", &port } };
+        void startup() {
+            port = atoi(port_text);
+            if (port < 1 || port > 65535) { exit(1); }
+        }
+    "#;
+    let appended = format!("{CALLS}    int atoi(char* s) {{ return 0; }}\n");
+    let lowered = |source: &str| {
+        let program = spex::lang::parse_program(source).unwrap();
+        format!("{:?}", spex::ir::lower_program(&program).unwrap().functions)
+    };
+    let fresh = |source: &str| {
+        let mut ws = workspace_over(source);
+        ws.reanalyze();
+        ws.db().save_to_string()
+    };
+    let mut ws = workspace_over(CALLS);
+    ws.reanalyze();
+    for source in [appended.as_str(), CALLS] {
+        ws.update_module("main.c", source).unwrap();
+        let stored = format!("{:?}", ws.module("main.c").unwrap().functions);
+        assert_eq!(stored, lowered(source), "{source}");
+        ws.reanalyze();
+        assert_eq!(ws.db().save_to_string(), fresh(source), "{source}");
+    }
+    assert_eq!(ws.function_clones(), 0);
+}
