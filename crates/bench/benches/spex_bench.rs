@@ -361,7 +361,7 @@ fn bench_workspace(r: &Runner) {
         |mut ws| black_box(ws.reanalyze()),
     );
 
-    // An edit that adds one fresh function: fingerprint diffing marks only
+    // An edit that adds one fresh function: the item-key diff marks only
     // it dirty, so re-analysis re-runs mapping and taint but skips every
     // unaffected parameter's inference passes.
     let edited = format!(
@@ -409,8 +409,8 @@ fn bench_workspace(r: &Runner) {
         r.bench_with_setup(
             "workspace/reanalyze_warm",
             || {
-                // Editing (parse, lower, fingerprint) is setup; only the
-                // warm re-analysis itself is measured.
+                // Editing (parse, lower, diff) is setup; only the warm
+                // re-analysis itself is measured.
                 ws.borrow_mut()
                     .update_module("gen.c", &variants[flip.get() % 2])
                     .unwrap();
@@ -491,6 +491,59 @@ fn bench_workspace(r: &Runner) {
         let ws = std::cell::RefCell::new(ws);
         let flip = std::cell::Cell::new(1usize);
         r.bench("workspace/update_storage_a", || {
+            let source = &variants[flip.get() % 2];
+            flip.set(flip.get() + 1);
+            black_box(ws.borrow_mut().update_module("gen.c", source).unwrap())
+        });
+    }
+
+    // The whole-module path: `update_module` alone, alternating Storage-A's
+    // source with and without an appended `void bench_probe() { }`, so
+    // every update adds or removes an item and parses and lowers them all.
+    // The self-check asserts the key diff: `bench_probe` added or removed
+    // and nothing else, and every other function keeps its allocation.
+    if r.selected("workspace/update_storage_a_whole") {
+        let spec = spex_systems::system_by_name("Storage-A").unwrap();
+        let gen = spex_systems::generate(&spec);
+        let variants = [
+            gen.source.clone(),
+            format!("{}\nvoid bench_probe() {{ }}\n", gen.source),
+        ];
+        let mut ws = Workspace::new("Storage-A", gen.dialect);
+        ws.add_module("gen.c", &variants[0], &gen.annotations)
+            .unwrap();
+        let mut kept = 0;
+        for (to, added) in [(1, true), (0, false)] {
+            let before = ws.module("gen.c").unwrap().functions.clone();
+            let diff = ws.update_module("gen.c", &variants[to]).unwrap();
+            let probe = vec!["bench_probe".to_string()];
+            let (want_added, want_removed) = if added {
+                (probe, Vec::new())
+            } else {
+                (Vec::new(), probe)
+            };
+            assert!(diff.changed.is_empty(), "{diff:?}");
+            assert_eq!((diff.added, diff.removed), (want_added, want_removed));
+            let after = &ws.module("gen.c").unwrap().functions;
+            kept = before
+                .iter()
+                .zip(after)
+                .filter(|(a, b)| std::sync::Arc::ptr_eq(a, b))
+                .count();
+            assert_eq!(
+                kept,
+                before.len().min(after.len()),
+                "only bench_probe is new"
+            );
+        }
+        assert_eq!(ws.module_clones() + ws.function_clones(), 0);
+        println!(
+            "workspace/update_storage_a_whole self-check: OK (diff [\"bench_probe\"] added \
+             and removed, {kept} functions keep their Arc)"
+        );
+        let ws = std::cell::RefCell::new(ws);
+        let flip = std::cell::Cell::new(1usize);
+        r.bench("workspace/update_storage_a_whole", || {
             let source = &variants[flip.get() % 2];
             flip.set(flip.get() + 1);
             black_box(ws.borrow_mut().update_module("gen.c", source).unwrap())
@@ -646,7 +699,7 @@ fn bench_fleet(r: &Runner) {
         fleet.len() * spec.configs_per_module,
     );
 
-    // Building the workspace (parse, lower, fingerprint) is setup; only
+    // Building the workspace (parse and lower) is setup; only
     // cold full inference over every module is measured, best-of-N per
     // thread count so scheduler noise cannot flip the comparison.
     const ROUNDS: usize = 3;

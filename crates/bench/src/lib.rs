@@ -9,12 +9,11 @@
 
 use spex_core::accuracy::AccuracyReport;
 use spex_core::{evaluate_accuracy, Annotation, Spex, SpexAnalysis};
-use spex_design::{DesignReport, Manual};
+use spex_design::DesignReport;
 use spex_inj::{
     genrule, standard_rules, CampaignReport, InjectionCampaign, Misconfig, RunOutcome, TestTarget,
 };
 use spex_systems::{BuiltSystem, SystemSpec};
-use std::collections::HashMap;
 use std::fmt::Write as _;
 
 /// A fully evaluated system.
@@ -92,11 +91,6 @@ pub fn make_target(built: &BuiltSystem) -> TestTarget<'_> {
         }),
         param_globals: built.gen.param_globals.clone(),
     }
-}
-
-/// The manual of a built system (convenience re-borrow).
-pub fn manual_of(built: &BuiltSystem) -> &Manual {
-    &built.gen.manual
 }
 
 // --- Table renderers ---------------------------------------------------------
@@ -372,16 +366,6 @@ pub fn render_table3() -> String {
          Silent violation  changes input configurations without notifying\n\
          Silent ignorance  ignores input configurations\n",
     )
-}
-
-/// Per-category misconfiguration counts, keyed by the violated constraint
-/// kind (used by benches and summaries).
-pub fn misconfig_mix(misconfigs: &[Misconfig]) -> HashMap<&'static str, usize> {
-    let mut mix = HashMap::new();
-    for m in misconfigs {
-        *mix.entry(m.violates).or_insert(0) += 1;
-    }
-    mix
 }
 
 /// A dependency-free micro-benchmark harness (the container has no network,

@@ -7,13 +7,13 @@
 //! `Spex::analyze` facade re-walks the whole program per run; a
 //! [`Workspace`] instead keeps state between runs:
 //!
-//! * each module's functions are **fingerprinted** over their lowered IR,
-//!   so [`Workspace::update_module`] knows exactly which bodies changed
-//!   (whitespace and comment edits dirty nothing), and each top-level item
-//!   is keyed by its tokens, so an edit re-parses and re-lowers only the
-//!   function bodies it touched; a batch of new modules
-//!   ([`Workspace::add_modules`]) is parsed and lowered on the worker
-//!   pool;
+//! * each top-level item of a module's source is **keyed** by its tokens
+//!   without their positions, and the stored keys are the only record an
+//!   edit is compared with: [`Workspace::update_module`] knows which
+//!   functions changed (whitespace, comment and move edits dirty nothing)
+//!   and re-parses and re-lowers only the function bodies it touched; a
+//!   batch of new modules ([`Workspace::add_modules`]) is parsed and
+//!   lowered on the worker pool;
 //! * [`Workspace::reanalyze`] tells the core which functions changed
 //!   ([`Spex::analyze_scoped`] alone decides which parameters' five
 //!   inference passes that re-runs), and merges the fresh constraints
@@ -54,15 +54,12 @@
 
 use crate::db::{ConstraintDb, MergeError, MergeReport};
 use crate::diag::{Diagnostic, Severity};
-use crate::env::{Environment, FsEnv, StaticEnv};
+use crate::env::{Environment, FsEnv};
 use crate::report::{FileReport, Report};
 use crate::session::CheckSession;
 use spex_conf::{ConfFile, Dialect};
 use spex_core::apispec::ApiSpec;
-use spex_core::fingerprint::{
-    diff_fingerprints, function_fingerprint, function_fingerprints, header_fingerprint,
-    FingerprintDiff,
-};
+use spex_core::fingerprint::{diff_fingerprints, FingerprintDiff};
 use spex_core::infer::{Incremental, PassCache, PassCounts, Spex};
 use spex_core::{Annotation, Constraint};
 use spex_ir::lower::LowerCtx;
@@ -73,7 +70,7 @@ use spex_lang::parser::Parser;
 use spex_lang::token::Token;
 use spex_lang::{Builtin, Diagnostic as SourceError, Item, Program};
 use spex_react::{ReactionClass, ReactionFinding};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
@@ -81,7 +78,7 @@ use std::sync::{Arc, Mutex};
 /// What still needs re-inference in one module.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Dirty {
-    /// Fingerprints match the last analysis; the db is current.
+    /// Nothing changed since the last analysis; the db is current.
     Clean,
     /// Only these functions changed since the last analysis.
     Functions(BTreeSet<String>),
@@ -106,21 +103,17 @@ struct SourceModule {
     /// analysis never deep-clones it — see [`Workspace::module_clones`].
     module: Arc<Module>,
     /// The pass-level cache: prepared SSA state, mapping extraction and
-    /// per-parameter taint slices from the last analysis, keyed by the
-    /// function fingerprints so `reanalyze` recomputes only what an edit
-    /// could have touched.
+    /// per-parameter taint slices from the last analysis, so `reanalyze`
+    /// recomputes only what the dirty functions could have touched.
     cache: PassCache,
     /// Mapping annotations for this module.
     anns: Vec<Annotation>,
-    /// Per-function fingerprints as of the stored `module`.
-    fn_fps: BTreeMap<String, u64>,
-    /// Fingerprint of globals/structs/enum constants.
-    header_fp: u64,
     /// The key of every top-level item of the source `module` was built
-    /// from, in source order (see [`Workspace::update_module`]); `None`
-    /// when those items cannot be matched one to one with the module's
-    /// globals and functions, so the next edit takes the whole-module
-    /// path.
+    /// from, in source order: the only record of the source an edit is
+    /// compared with (see [`Workspace::update_module`]). `None` when those
+    /// items cannot be matched one to one with the module's globals and
+    /// functions (say, two functions share a name); the next edit then
+    /// re-infers the module whole.
     items: Option<Box<[ItemKey]>>,
     /// What changed since the last analysis.
     dirty: Dirty,
@@ -136,10 +129,11 @@ struct SourceModule {
 impl SourceModule {
     /// The item path of [`Workspace::update_module`]: when `items` (the new
     /// source's) match the stored keys in order, kind and head, re-parses
-    /// and re-lowers only the function bodies whose key changed and the
-    /// globals that moved, then assembles the new module from the old
-    /// one's parts (kept as it is when nothing in it changed). `None`, with
-    /// nothing changed, when the edit needs the whole-module path.
+    /// and re-lowers only the function bodies whose key changed, which it
+    /// reports as changed, and the globals that moved, then assembles the
+    /// new module from the old one's parts (kept as it is when nothing in
+    /// it changed). `None`, with nothing changed, when the edit needs the
+    /// whole-module path.
     fn update_items(
         &mut self,
         tokens: &[Token<'_>],
@@ -171,11 +165,8 @@ impl SourceModule {
                         };
                         let ctx = ctx.get_or_insert_with(|| LowerCtx::of_module(old));
                         let function = ctx.lower_function(&def).ok()?;
-                        let fp = function_fingerprint(&function, old);
-                        if self.fn_fps.get(&function.name) != Some(&fp) {
-                            changed.push((function.name.clone(), fp));
-                            functions.push((next_fn, Arc::new(function)));
-                        }
+                        changed.push(function.name.clone());
+                        functions.push((next_fn, Arc::new(function)));
                     }
                     next_fn += 1;
                 }
@@ -215,11 +206,10 @@ impl SourceModule {
             *key = item.key;
         }
         changed.sort_unstable();
-        let mut diff = FingerprintDiff::default();
-        for (name, fp) in changed {
-            self.fn_fps.insert(name.clone(), fp);
-            diff.changed.push(name);
-        }
+        let diff = FingerprintDiff {
+            changed,
+            ..FingerprintDiff::default()
+        };
         if !diff.is_empty() {
             self.dirty.absorb_functions(diff.dirty_names());
         }
@@ -230,8 +220,6 @@ impl SourceModule {
 /// A whole-module front end's result.
 struct Front {
     module: Module,
-    fn_fps: BTreeMap<String, u64>,
-    header_fp: u64,
     /// The keys of `items`, when the parser ended every item where
     /// [`split_items`] did and no two functions share a name.
     items: Option<Box<[ItemKey]>>,
@@ -260,15 +248,88 @@ impl Front {
         }
         aligned &= split.next().is_none();
         let module = spex_ir::lower_program(&program).map_err(|e| parse_error(name, e))?;
-        let fn_fps = function_fingerprints(&module);
-        let unique = fn_fps.len() == module.functions.len();
+        let mut names = HashSet::new();
+        let unique = module
+            .functions
+            .iter()
+            .all(|f| names.insert(f.name.as_str()));
         Ok(Front {
-            header_fp: header_fingerprint(&module),
             items: (aligned && unique).then(|| items.iter().map(|i| i.key).collect()),
-            fn_fps,
             module,
         })
     }
+}
+
+/// Each function's item key, by name: `items` are the keys of the source
+/// `module` was lowered from, and its function items are the module's
+/// functions, in order.
+fn function_keys(module: &Module, items: &[ItemKey]) -> BTreeMap<String, ItemKey> {
+    items
+        .iter()
+        .filter(|key| key.kind == ItemKind::Function)
+        .zip(&module.functions)
+        .map(|(key, f)| (f.name.clone(), *key))
+        .collect()
+}
+
+/// The diff of two generations when one has no keys: every function
+/// present in both counts as changed.
+fn unkeyed_diff(old: &Module, new: &Module) -> FingerprintDiff {
+    let names = |m: &Module, generation: u8| -> BTreeMap<String, u8> {
+        m.functions
+            .iter()
+            .map(|f| (f.name.clone(), generation))
+            .collect()
+    };
+    diff_fingerprints(&names(old, 0), &names(new, 1))
+}
+
+/// The whole-module path's diff of `old` (lowered from a source keyed
+/// `was`) against a fresh `new` (keyed `now`), and whether the edit is
+/// stable: it kept everything a function's lowering reads (the rule is
+/// stated on [`Workspace::update_module`]). When it is, every function of
+/// `new` whose key is unchanged is swapped for `old`'s allocation: it
+/// lowers to the same IR, so untouched functions stay pointer-equal
+/// across generations (`Arc::ptr_eq`) and downstream reuse — SSA state,
+/// slices — keeps sharing one body.
+fn reuse_unchanged(
+    old: &Module,
+    was: &[ItemKey],
+    new: &mut Module,
+    now: &[ItemKey],
+) -> (FingerprintDiff, bool) {
+    let (old_keys, new_keys) = (function_keys(old, was), function_keys(new, now));
+    let diff = diff_fingerprints(&old_keys, &new_keys);
+    let old_index: HashMap<&str, usize> = old
+        .functions
+        .iter()
+        .enumerate()
+        .map(|(i, f)| (f.name.as_str(), i))
+        .collect();
+    let others = |items: &[ItemKey]| -> Vec<ItemKey> {
+        items
+            .iter()
+            .filter(|key| key.kind != ItemKind::Function)
+            .copied()
+            .collect()
+    };
+    let stable = others(was) == others(now)
+        && (diff.added.iter())
+            .chain(&diff.removed)
+            .all(|f| Builtin::from_name(f).is_none())
+        && new.functions.iter().enumerate().all(|(i, f)| {
+            old_index
+                .get(f.name.as_str())
+                .is_none_or(|&j| j == i && old.functions[j].ret == f.ret)
+        });
+    if stable {
+        for f in &mut new.functions {
+            if old_keys.get(&f.name) == new_keys.get(&f.name) {
+                *f = Arc::clone(&old.functions[old_index[f.name.as_str()]]);
+            }
+        }
+    }
+    (diff, stable)
 }
 
 fn parse_error(module: &str, e: SourceError) -> WorkspaceError {
@@ -444,12 +505,6 @@ impl Workspace {
         ws
     }
 
-    /// Overrides the API registry used by semantic-type inference.
-    pub fn with_spec(mut self, spec: ApiSpec) -> Workspace {
-        self.spec = spec;
-        self
-    }
-
     /// Overrides the worker-thread count (default: the machine's
     /// available parallelism). The pool it sizes runs the front end of
     /// [`add_modules`](Workspace::add_modules), the analysis and reaction
@@ -464,11 +519,6 @@ impl Workspace {
     pub fn with_env(mut self, env: Arc<dyn Environment + Send + Sync>) -> Workspace {
         self.env = Some(env);
         self
-    }
-
-    /// Attaches a declarative environment model.
-    pub fn with_static_env(self, env: StaticEnv) -> Workspace {
-        self.with_env(Arc::new(env))
     }
 
     /// Attaches the real host's filesystem as the environment model.
@@ -569,8 +619,8 @@ impl Workspace {
         })
     }
 
-    /// One new module's front end: lex, parse, lower, parse the
-    /// annotations and fingerprint, ready for its first analysis.
+    /// One new module's front end: lex, split into keyed items, parse,
+    /// lower and parse the annotations, ready for its first analysis.
     fn front_end(
         name: &str,
         source: &str,
@@ -580,8 +630,6 @@ impl Workspace {
         let front = Front::whole(name, &tokens, &split_items(&tokens))?;
         let anns = Self::parse_annotations(name, annotations)?;
         Ok(SourceModule {
-            fn_fps: front.fn_fps,
-            header_fp: front.header_fp,
             items: front.items,
             module: Arc::new(front.module),
             cache: PassCache::default(),
@@ -593,8 +641,8 @@ impl Workspace {
     }
 
     /// Adds a source module with its mapping annotations. The source is
-    /// parsed, lowered and fingerprinted now; inference happens at the
-    /// next [`reanalyze`](Workspace::reanalyze). The one-module case of
+    /// parsed and lowered now; inference happens at the next
+    /// [`reanalyze`](Workspace::reanalyze). The one-module case of
     /// [`add_modules`](Workspace::add_modules).
     pub fn add_module(
         &mut self,
@@ -646,29 +694,36 @@ impl Workspace {
         Ok(())
     }
 
-    /// Replaces a module's source, fingerprinting the lowered IR to
-    /// compute the dirty function set. Returns which functions changed; an
+    /// Replaces a module's source. Returns which functions changed; an
     /// empty diff (e.g. a comment-only edit) leaves the module clean if it
     /// already was.
     ///
     /// The new source is lexed once and split into its top-level items
     /// (struct, enum, global, function), each keyed by its tokens without
-    /// their positions. When the items are those of the stored source, in
-    /// the same order and with the same keys except for some function
-    /// bodies, only those bodies are re-parsed and re-lowered (the *item
-    /// path*); a global that only moved is re-lowered for its new span,
-    /// and every other function keeps its allocation. Any other edit — or
-    /// a changed body that fails to parse or lower — takes the
-    /// whole-module path, which parses and lowers every item. Both build
-    /// the same module, so which one ran never shows.
+    /// their positions, a function's signature apart from its body. The
+    /// stored keys of the previous source are the only record an edit is
+    /// compared with: a function changed when its key did, so whitespace,
+    /// comments and moves change nothing, while any other token edit to a
+    /// function (even `{ }`, or a renamed local) re-infers it.
     ///
-    /// Either way, an unchanged function keeps the previous generation's
-    /// `Arc` (so downstream reuse keeps sharing one body), but only while
-    /// every id it embeds still names the same thing: when the header
-    /// changed, a function was inserted or removed before the end of the
-    /// module, or a function named like a builtin came or went (calls by
-    /// that name switch between the two), nothing is reused and the
-    /// module is re-inferred whole.
+    /// When the items are those of the stored source, in the same order
+    /// and with the same keys except for some function bodies, only those
+    /// bodies are re-parsed and re-lowered (the *item path*); a global that
+    /// only moved is re-lowered for its new span, and every other function
+    /// keeps its allocation. Any other edit — or a changed body that fails
+    /// to parse or lower — takes the whole-module path, which parses and
+    /// lowers every item. Both build the same module, so which one ran
+    /// never shows.
+    ///
+    /// On the whole-module path an unchanged function keeps the previous
+    /// generation's `Arc` (so downstream reuse keeps sharing one body), but
+    /// only while everything its lowering read is as it was: every item
+    /// other than a function has the same key, in the same order; every
+    /// surviving function keeps its index and its return type (a call's
+    /// result is typed by it); and no function named like a builtin comes
+    /// or goes (calls by that name switch between the two). Otherwise, or
+    /// when either source has no keys, nothing is reused and the module is
+    /// re-inferred whole.
     pub fn update_module(
         &mut self,
         name: &str,
@@ -683,64 +738,25 @@ impl Workspace {
                 return Ok(diff);
             }
         }
-        let Front {
-            mut module,
-            fn_fps,
-            header_fp,
-            items,
-        } = Front::whole(name, &tokens, &items)?;
+        let Front { mut module, items } = Front::whole(name, &tokens, &items)?;
         let entry = self
             .modules
             .get_mut(name)
             .ok_or_else(|| WorkspaceError::UnknownModule(name.to_string()))?;
-        let diff = diff_fingerprints(&entry.fn_fps, &fn_fps);
-        // Every surviving function must keep its index, or an unchanged
-        // caller's `Callee::Func` ids would name its neighbour. And no
-        // function named like a builtin may come or go: a call by that
-        // name changes between the builtin and the module function, which
-        // the fingerprint (like the printed IR) names alike.
-        let old_index: HashMap<&str, usize> = entry
-            .module
-            .functions
-            .iter()
-            .enumerate()
-            .map(|(i, f)| (f.name.as_str(), i))
-            .collect();
-        let ids_stable = header_fp == entry.header_fp
-            && (diff.added.iter())
-                .chain(&diff.removed)
-                .all(|f| Builtin::from_name(f).is_none())
-            && module
-                .functions
-                .iter()
-                .enumerate()
-                .all(|(i, f)| old_index.get(f.name.as_str()).is_none_or(|&j| j == i));
-        if !ids_stable {
-            // Globals, struct layouts, enum constants or function ids
-            // moved: mappings, declared-type fallbacks and call edges may
-            // shift for any parameter.
+        let old = &*entry.module;
+        let (diff, stable) = match entry.items.as_deref().zip(items.as_deref()) {
+            Some((was, now)) => reuse_unchanged(old, was, &mut module, now),
+            None => (unkeyed_diff(old, &module), false),
+        };
+        if !stable {
+            // Globals, struct layouts, enum constants, function ids or
+            // return types moved: mappings, declared-type fallbacks, call
+            // edges and call results may shift for any parameter.
             entry.dirty = Dirty::All;
-        } else {
-            if !diff.is_empty() {
-                entry.dirty.absorb_functions(diff.dirty_names());
-            }
-            // Swap the freshly lowered body of every *unchanged* function
-            // for the previous generation's allocation: the fingerprint
-            // says they are identical, so untouched functions stay
-            // pointer-equal across generations (`Arc::ptr_eq`) and
-            // downstream reuse — SSA state, slices — keeps sharing one
-            // body instead of re-anchoring on a duplicate.
-            for f in &mut module.functions {
-                if entry.fn_fps.get(&f.name) == fn_fps.get(&f.name) {
-                    if let Some(&j) = old_index.get(f.name.as_str()) {
-                        *f = Arc::clone(&entry.module.functions[j]);
-                    }
-                }
-            }
+        } else if !diff.is_empty() {
+            entry.dirty.absorb_functions(diff.dirty_names());
         }
         entry.module = Arc::new(module);
-        entry.fn_fps = fn_fps;
-        entry.header_fp = header_fp;
         entry.items = items;
         Ok(diff)
     }
@@ -801,12 +817,11 @@ impl Workspace {
     /// granularities: parameters the edit cannot affect (the core's
     /// parameter-scope rule, see [`Spex::analyze_scoped`]) keep their
     /// persisted constraints untouched and their inference passes do not
-    /// run, and the expensive intermediate
-    /// artifacts — SSA preparation, mapping extraction, per-parameter
-    /// taint slices — are served from a fingerprint-keyed [`PassCache`]
-    /// whenever the edit provably cannot affect them (see
-    /// [`ReanalyzeReport::passes`] for both the pass and the cache
-    /// accounting). The stored module is shared into the analysis and
+    /// run, and the expensive intermediate artifacts — SSA preparation,
+    /// mapping extraction, per-parameter taint slices — are served from
+    /// the module's [`PassCache`] whenever the edit provably cannot affect
+    /// them (see [`ReanalyzeReport::passes`] for both the pass and the
+    /// cache accounting). The stored module is shared into the analysis and
     /// never deep-cloned ([`Workspace::module_clones`] stays flat).
     pub fn reanalyze(&mut self) -> ReanalyzeReport {
         let _telemetry = self.telemetry.as_ref().map(spex_obs::install);
@@ -1309,86 +1324,197 @@ mod tests {
         assert_eq!(ws2.check_text("threads = 64\n").len(), 1);
     }
 
+    // -- What an edit changed, by item keys ------------------------------
+
+    /// The dirty state and diff of one edit of [`BASE`] in a clean
+    /// workspace.
+    fn edited(source: &str) -> (FingerprintDiff, Dirty) {
+        let mut ws = ws();
+        ws.reanalyze();
+        let diff = ws.update_module("main.c", source).unwrap();
+        (diff, ws.modules["main.c"].dirty.clone())
+    }
+
+    #[test]
+    fn whitespace_and_comment_edits_do_not_dirty() {
+        let respaced = BASE
+            .replace(
+                "void startup() {",
+                "// a comment\n        void startup()\n{",
+            )
+            .replace("sleep(nap);", "sleep( nap ) ;\n");
+        assert_eq!(
+            edited(&respaced),
+            (FingerprintDiff::default(), Dirty::Clean)
+        );
+    }
+
+    #[test]
+    fn editing_one_function_dirties_only_it() {
+        let (diff, dirty) = edited(&BASE.replace("sleep(nap);", "sleep(nap); sleep(nap);"));
+        assert_eq!(diff.changed, vec!["napper".to_string()]);
+        assert!(diff.added.is_empty() && diff.removed.is_empty());
+        assert_eq!(dirty, Dirty::Functions(["napper".to_string()].into()));
+    }
+
+    #[test]
+    fn added_and_removed_functions_are_reported() {
+        let (diff, dirty) = edited(&BASE.replace(
+            "void napper() { sleep(nap); }",
+            "void listener() { listen(0, nap); }",
+        ));
+        assert!(diff.changed.is_empty());
+        assert_eq!(diff.added, vec!["listener".to_string()]);
+        assert_eq!(diff.removed, vec!["napper".to_string()]);
+        assert_eq!(diff.dirty_names(), vec!["listener", "napper"]);
+        assert_eq!(
+            dirty,
+            Dirty::Functions(diff.dirty_names().into_iter().collect())
+        );
+    }
+
+    /// A global's key is its whole text: an edited initializer re-infers
+    /// the module whole, an edited body only its function.
+    #[test]
+    fn header_tracks_globals_not_bodies() {
+        let (diff, dirty) = edited(&BASE.replace("int nap = 30;", "int nap = 60;"));
+        assert_eq!((diff, dirty), (FingerprintDiff::default(), Dirty::All));
+        let (_, dirty) = edited(&BASE.replace("threads > 16", "threads > 32"));
+        assert_eq!(dirty, Dirty::Functions(["startup".to_string()].into()));
+    }
+
+    /// Each token mixes into its item's key in order, so moving a sign
+    /// from one constant to another is a change, in a global and in a
+    /// body alike.
+    #[test]
+    fn swapping_the_signs_of_two_constants_is_a_change() {
+        let source = |lo: &str, hi: &str, body: &str| {
+            let globals = format!("double lo = {lo}; double hi = {hi};");
+            format!("{BASE}\n{globals}\ndouble scale() {{ return {body}; }}\n")
+        };
+        let mut ws = ws();
+        ws.update_module("main.c", &source("-0.5", "0.5", "-0.5 * 0.5"))
+            .unwrap();
+        ws.reanalyze();
+        let diff = ws
+            .update_module("main.c", &source("-0.5", "0.5", "0.5 * -0.5"))
+            .unwrap();
+        assert_eq!(diff.changed, vec!["scale".to_string()]);
+        ws.update_module("main.c", &source("0.5", "-0.5", "0.5 * -0.5"))
+            .unwrap();
+        assert_eq!(ws.modules["main.c"].dirty, Dirty::All);
+    }
+
+    /// A token edit is a change even where it lowers to the same IR: the
+    /// function is lowered and re-inferred again, and the db stays equal
+    /// to a fresh one.
+    #[test]
+    fn a_token_edit_that_lowers_to_the_same_ir_reinfers_its_function() {
+        let mut ws = ws();
+        ws.reanalyze();
+        let before = Arc::clone(&ws.modules["main.c"].module.functions[1]);
+        let edited = BASE.replace("sleep(nap); }", "sleep(nap); { } }");
+        let diff = ws.update_module("main.c", &edited).unwrap();
+        assert_eq!(diff.changed, vec!["napper".to_string()]);
+        let after = &ws.modules["main.c"].module.functions[1];
+        assert!(!Arc::ptr_eq(&before, after));
+        assert_eq!(
+            print_function(&before, &ws.modules["main.c"].module),
+            print_function(after, &ws.modules["main.c"].module)
+        );
+        assert_eq!(ws.reanalyze().params_reinferred, 1, "`nap` re-inferred");
+        let mut fresh = Workspace::new("Test", Dialect::KeyValue);
+        fresh.add_module("main.c", &edited, ANN).unwrap();
+        fresh.reanalyze();
+        assert_eq!(ws.db().save_to_string(), fresh.db().save_to_string());
+    }
+
     // -- The item path against a whole parse ----------------------------
 
-    use spex_core::fingerprint::fnv1a;
     use spex_ir::printer::{print_function, print_module};
     use spex_lang::token::TokenKind;
     use spex_systems::rng::SplitMix64;
-    use std::fmt::Write as _;
 
-    /// What `update_module` built before it knew about items: a whole
-    /// `parse_program` plus `lower_program`, fingerprints hashed over the
-    /// printed IR and the old text rendering of the header, and the
-    /// previous generation's `Arc` for every function whose fingerprint is
-    /// unchanged — while the header and every surviving function's index
-    /// stay put and no function named like a builtin comes or goes.
+    /// What `update_module` must build: a whole `parse_program` plus
+    /// `lower_program`, the diff of the functions' item keys by name, and
+    /// for each function whether it keeps the previous generation's
+    /// allocation — exactly when its key is unchanged while the other
+    /// items' keys, every surviving function's index and return type stay
+    /// put and no function named like a builtin comes or goes.
     struct Reference {
+        /// The fresh whole lowering; no allocation is swapped in.
         module: Module,
         diff: FingerprintDiff,
         /// For each function, the index of the previous generation's
-        /// function whose allocation it shares.
+        /// function whose allocation it keeps.
         kept: Vec<Option<usize>>,
         stable: bool,
     }
 
-    fn printed_fps(m: &Module) -> BTreeMap<String, u64> {
-        let mut fps: BTreeMap<String, u64> = BTreeMap::new();
-        for f in &m.functions {
-            let fp = fnv1a(print_function(f, m).as_bytes());
-            fps.entry(f.name.clone())
-                .and_modify(|prev| *prev = fnv1a(&[prev.to_le_bytes(), fp.to_le_bytes()].concat()))
-                .or_insert(fp);
+    /// A source's function keys by name and its other items' keys in
+    /// order, when the names of `m`'s functions are unique.
+    fn keyed(source: &str, m: &Module) -> Option<(BTreeMap<String, ItemKey>, Vec<ItemKey>)> {
+        let names: BTreeSet<&str> = m.functions.iter().map(|f| f.name.as_str()).collect();
+        if names.len() != m.functions.len() {
+            return None;
         }
-        fps
+        let (functions, others): (Vec<ItemKey>, Vec<ItemKey>) = item_keys(source)
+            .into_iter()
+            .partition(|key| key.kind == ItemKind::Function);
+        let functions = functions
+            .into_iter()
+            .zip(&m.functions)
+            .map(|(key, f)| (f.name.clone(), key))
+            .collect();
+        Some((functions, others))
     }
 
-    fn printed_header(m: &Module) -> String {
-        let mut text = String::new();
-        for g in &m.globals {
-            let _ = writeln!(text, "global {} : {} = {:?}", g.name, g.ty, g.init);
-        }
-        for s in &m.structs {
-            let _ = write!(text, "struct {} {{", s.name);
-            for (field, ty) in &s.fields {
-                let _ = write!(text, " {field}: {ty};");
-            }
-            let _ = writeln!(text, " }}");
-        }
-        let consts: BTreeMap<&String, &i64> = m.enum_consts.iter().collect();
-        for (k, v) in consts {
-            let _ = writeln!(text, "enum {k} = {v}");
-        }
-        text
-    }
-
-    fn reference(name: &str, prev: &Module, source: &str) -> Result<Reference, WorkspaceError> {
+    fn reference(
+        name: &str,
+        prev_source: &str,
+        prev: &Module,
+        source: &str,
+    ) -> Result<Reference, WorkspaceError> {
         let error = |e: spex_lang::Diagnostic| WorkspaceError::Parse {
             module: name.to_string(),
             message: e.to_string(),
         };
         let program = spex_lang::parse_program(source).map_err(error)?;
-        let mut module = spex_ir::lower_program(&program).map_err(error)?;
-        let (old_fps, new_fps) = (printed_fps(prev), printed_fps(&module));
-        let old_index = |name: &str| prev.functions.iter().rposition(|f| f.name == name);
-        let diff = diff_fingerprints(&old_fps, &new_fps);
-        let stable = printed_header(prev) == printed_header(&module)
+        let module = spex_ir::lower_program(&program).map_err(error)?;
+        let mut kept = vec![None; module.functions.len()];
+        let Some(((old_keys, old_others), (new_keys, new_others))) =
+            keyed(prev_source, prev).zip(keyed(source, &module))
+        else {
+            // No keys to compare: every function on both sides changed.
+            let names = |m: &Module| -> BTreeSet<String> {
+                m.functions.iter().map(|f| f.name.clone()).collect()
+            };
+            let (old, new) = (names(prev), names(&module));
+            let diff = FingerprintDiff {
+                changed: old.intersection(&new).cloned().collect(),
+                added: new.difference(&old).cloned().collect(),
+                removed: old.difference(&new).cloned().collect(),
+            };
+            return Ok(Reference {
+                module,
+                diff,
+                kept,
+                stable: false,
+            });
+        };
+        let diff = diff_fingerprints(&old_keys, &new_keys);
+        let old_index = |name: &str| prev.functions.iter().position(|f| f.name == name);
+        let stable = old_others == new_others
             && (diff.added.iter())
                 .chain(&diff.removed)
                 .all(|f| spex_lang::Builtin::from_name(f).is_none())
-            && module
-                .functions
-                .iter()
-                .enumerate()
-                .all(|(i, f)| old_index(&f.name).is_none_or(|j| j == i));
-        let mut kept = vec![None; module.functions.len()];
+            && module.functions.iter().enumerate().all(|(i, f)| {
+                old_index(&f.name).is_none_or(|j| j == i && prev.functions[j].ret == f.ret)
+            });
         if stable {
-            for (i, f) in module.functions.iter_mut().enumerate() {
-                if old_fps.get(&f.name) == new_fps.get(&f.name) {
-                    if let Some(j) = old_index(&f.name) {
-                        *f = Arc::clone(&prev.functions[j]);
-                        kept[i] = Some(j);
-                    }
+            for (i, f) in module.functions.iter().enumerate() {
+                if old_keys.get(&f.name) == new_keys.get(&f.name) {
+                    kept[i] = old_index(&f.name);
                 }
             }
         }
@@ -1400,44 +1526,22 @@ mod tests {
         })
     }
 
-    /// Structural and printed fingerprints must split functions into the
-    /// same classes: a map each way, and each must stay a function.
-    #[derive(Default)]
-    struct FpClasses {
-        printed_to_structural: HashMap<u64, u64>,
-        structural_to_printed: HashMap<u64, u64>,
-    }
-
-    impl FpClasses {
-        fn add(&mut self, m: &Module) {
-            for f in &m.functions {
-                let printed = fnv1a(print_function(f, m).as_bytes());
-                let structural = function_fingerprint(f, m);
-                let a = *self
-                    .printed_to_structural
-                    .entry(printed)
-                    .or_insert(structural);
-                let b = *self
-                    .structural_to_printed
-                    .entry(structural)
-                    .or_insert(printed);
-                assert_eq!(
-                    (a, b),
-                    (structural, printed),
-                    "{}: structural and printed fingerprints disagree",
-                    f.name
-                );
-            }
-        }
-    }
-
-    /// Applies one edit through `update_module` and asserts the outcome is
-    /// the reference's in every field. Returns whether it was accepted.
-    fn check_step(ws: &mut Workspace, name: &str, source: &str, what: &str) -> bool {
+    /// Applies one edit of `prev_source` (the source the module was last
+    /// built from) through `update_module` and asserts the outcome is the
+    /// reference's in every field. A kept allocation must equal the fresh
+    /// lowering in everything but its spans. Returns whether the edit was
+    /// accepted.
+    fn check_step(
+        ws: &mut Workspace,
+        name: &str,
+        prev_source: &str,
+        source: &str,
+        what: &str,
+    ) -> bool {
         let entry = ws.modules.get_mut(name).unwrap();
         entry.dirty = Dirty::Clean;
         let prev = Arc::clone(&entry.module);
-        let want = reference(name, &prev, source);
+        let want = reference(name, prev_source, &prev, source);
         let got = ws.update_module(name, source);
         let entry = &ws.modules[name];
         let want = match (want, got) {
@@ -1461,15 +1565,30 @@ mod tests {
         );
         assert_eq!(got.functions.len(), want.module.functions.len());
         for (i, (g, w)) in got.functions.iter().zip(&want.module.functions).enumerate() {
-            // Every instruction and terminator with its span, the
-            // function's span, slots and value types.
-            assert_eq!(format!("{g:?}"), format!("{w:?}"), "{name}: {what}");
             let shared = prev.functions.iter().position(|p| Arc::ptr_eq(p, g));
+            let context = format!("{name}: {what}: {}", g.name);
+            assert_eq!(shared, want.kept[i], "{context} allocation");
+            if shared.is_none() {
+                // Every instruction and terminator with its span, the
+                // function's span, slots and value types.
+                assert_eq!(format!("{g:?}"), format!("{w:?}"), "{context}");
+                continue;
+            }
+            // A kept body holds the spans it was lowered with; every other
+            // field must be what lowering the new source gives.
             assert_eq!(
-                shared, want.kept[i],
-                "{name}: {what}: {} allocation",
-                g.name
+                print_function(g, got),
+                print_function(w, &want.module),
+                "{context}"
             );
+            assert_eq!(
+                format!("{:?}", g.value_types),
+                format!("{:?}", w.value_types),
+                "{context}"
+            );
+            assert_eq!(format!("{:?}", g.params), format!("{:?}", w.params));
+            assert_eq!(g.ret, w.ret, "{context}");
+            assert_eq!(format!("{:?}", g.slots), format!("{:?}", w.slots));
         }
         assert_eq!(
             format!("{:?}", got.globals),
@@ -1481,10 +1600,7 @@ mod tests {
             format!("{:?}", want.module.structs)
         );
         assert_eq!(got.enum_consts, want.module.enum_consts);
-        assert_eq!(entry.fn_fps, function_fingerprints(got), "{name}: {what}");
-        assert_eq!(entry.header_fp, header_fingerprint(got), "{name}: {what}");
-        let tokens = Lexer::new(source).lex().unwrap();
-        let keys: Vec<ItemKey> = split_items(&tokens).iter().map(|i| i.key).collect();
+        let keys = item_keys(source);
         // Items are kept only while they name the functions one to one.
         let names: BTreeSet<&str> = got.functions.iter().map(|f| f.name.as_str()).collect();
         let unique = names.len() == got.functions.len();
@@ -1555,7 +1671,7 @@ mod tests {
             let at = pick(g, &starts).unwrap_or(0);
             ("comment", splice(source, at, ["/* c */ ", "// c\n"][n % 2]))
         };
-        let kind = g.next_u64() % 17;
+        let kind = g.next_u64() % 18;
         let edited = match kind {
             0 | 1 | 6 => pick(g, &bodies).map(|(_, body, _)| {
                 let (what, text) = match kind {
@@ -1646,6 +1762,24 @@ mod tests {
                 let paren = at + source[at..body].find('(')?;
                 Some(("rename function", splice(source, paren, "_r")))
             }),
+            // A call's result is typed by its callee's return type.
+            16 => {
+                let typed: Vec<(usize, &str, &str)> = bodies
+                    .iter()
+                    .filter_map(|&(at, _, _)| {
+                        let (from, to) = [("int ", "long "), ("long ", "int ")]
+                            .into_iter()
+                            .find(|(from, _)| source[at..].starts_with(from))?;
+                        Some((at, from, to))
+                    })
+                    .collect();
+                pick(g, &typed).map(|(at, from, to)| {
+                    (
+                        "return type",
+                        format!("{}{to}{}", &source[..at], &source[at + from.len()..]),
+                    )
+                })
+            }
             _ => (items.len() > 1).then(|| {
                 let k = (g.next_u64() % (items.len() as u64 - 1)) as usize;
                 let (a, b) = (items[k], items[k + 1]);
@@ -1739,12 +1873,11 @@ mod tests {
         let sources = oracle_sources();
         let steps_per_module = |source: &str| if source.len() > 10_000 { 40 } else { 14 };
         let mut g = SplitMix64::seed_from_u64(0x17e4);
-        let mut classes = FpClasses::default();
         let (mut steps, mut accepted, mut same_shape) = (0, 0, 0);
+        let mut kinds = BTreeSet::new();
         for (name, base, annotations) in &sources {
             let mut ws = Workspace::new("Oracle", Dialect::KeyValue);
             ws.add_module(name.as_str(), base, annotations).unwrap();
-            classes.add(&ws.modules[name.as_str()].module);
             let mut source = base.clone();
             for n in 0..steps_per_module(base) {
                 let (what, edited) = edit(&mut g, &source, n);
@@ -1758,9 +1891,9 @@ mod tests {
                             .all(|(a, b)| a.kind == b.kind && a.head == b.head),
                 );
                 steps += 1;
-                if check_step(&mut ws, name, &edited, what) {
+                if check_step(&mut ws, name, &source, &edited, what) {
                     accepted += 1;
-                    classes.add(&ws.modules[name.as_str()].module);
+                    kinds.insert(what);
                     source = edited;
                 }
             }
@@ -1769,6 +1902,7 @@ mod tests {
             assert_eq!(ws.function_clones(), 0);
         }
         assert!(steps >= 200, "{steps} steps");
+        assert!(kinds.contains("return type"), "{kinds:?}");
         assert!(accepted * 2 > steps, "{accepted} of {steps} edits parsed");
         assert!(
             same_shape * 3 > steps,
@@ -1795,67 +1929,16 @@ mod tests {
             for _ in 0..16 {
                 let (what, mutated) = mutate(&mut g, base);
                 kinds.insert(what);
-                if !check_step(&mut ws, name, &mutated, what) {
-                    rejected += 1;
-                }
+                let accepted = check_step(&mut ws, name, base, &mutated, what);
+                rejected += usize::from(!accepted);
                 // Back to the pristine source, so every mutation is one
                 // step away from a module that parses.
-                check_step(&mut ws, name, base, "restore");
+                let current = if accepted { &mutated } else { base };
+                check_step(&mut ws, name, current, base, "restore");
             }
         }
         assert_eq!(kinds.len(), 8, "{kinds:?}");
         assert!(rejected > 50, "{rejected} mutations rejected");
-    }
-
-    #[test]
-    fn structural_fingerprints_split_functions_as_printed_ones_do() {
-        let mut classes = FpClasses::default();
-        for spec in spex_systems::all_systems() {
-            let source = spex_systems::generate(&spec).source;
-            let program = spex_lang::parse_program(&source).unwrap();
-            classes.add(&spex_ir::lower_program(&program).unwrap());
-        }
-        for m in spex_systems::fleet::generate_fleet(&spex_systems::fleet::FleetSpec {
-            modules: 64,
-            ..Default::default()
-        }) {
-            let program = spex_lang::parse_program(&m.source).unwrap();
-            classes.add(&spex_ir::lower_program(&program).unwrap());
-        }
-        // Texts the printer renders alike: an integral float constant
-        // prints as the integer, and a builtin call as a module function
-        // of the same name.
-        let pair = |a: &str, b: &str| {
-            let lower = |src: &str| {
-                spex_ir::lower_program(&spex_lang::parse_program(src).unwrap()).unwrap()
-            };
-            let (a, b) = (lower(a), lower(b));
-            (
-                function_fingerprint(&a.functions[0], &a)
-                    == function_fingerprint(&b.functions[0], &b),
-                print_function(&a.functions[0], &a) == print_function(&b.functions[0], &b),
-            )
-        };
-        assert_eq!(
-            pair("int f() { return 1; }", "int f() { return 1.0; }"),
-            (true, true)
-        );
-        assert_eq!(
-            pair("int f() { return 1; }", "int f() { return 1.5; }"),
-            (false, false)
-        );
-        assert_eq!(
-            pair(
-                "int f() { return atoi(\"1\"); }",
-                "int f() { return atoi(\"1\"); } int atoi(char* s) { return 0; }"
-            ),
-            (true, true)
-        );
-        assert!(
-            classes.printed_to_structural.len() > 500,
-            "{} distinct functions",
-            classes.printed_to_structural.len()
-        );
     }
 
     #[test]
@@ -1864,13 +1947,13 @@ mod tests {
         let entry = &ws.modules["main.c"];
         let (before, items) = (Arc::clone(&entry.module), entry.items.clone());
         assert!(items.is_some(), "a parsed module stores its item keys");
-        // The edit shifts `napper` one line down and re-lowers `startup`.
+        // The edit shifts `napper` one line down and changes no key.
         let edited = BASE.replace("exit(1); }\n            if", "exit(1); }\n\n            if");
         let diff = ws.update_module("main.c", &edited).unwrap();
         assert_eq!(
             diff,
             FingerprintDiff::default(),
-            "a line shift changes no IR"
+            "a line shift changes no key"
         );
         let after = &ws.modules["main.c"].module;
         assert!(

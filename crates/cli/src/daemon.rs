@@ -184,7 +184,7 @@ fn handle_line(state: &mut DaemonState, line: &str) -> (String, bool) {
 
 /// `analyze`: add or update the given modules, then re-infer whatever the
 /// change dirtied. New modules are added; a module the daemon has seen
-/// before is updated (fingerprint-diffed, so unchanged functions stay
+/// before is updated (diffed by item keys, so unchanged functions stay
 /// warm), and its annotations are only replaced when the request carries
 /// an `annotations` field.
 fn op_analyze(state: &mut DaemonState, id: Option<i64>, req: &Json) -> String {

@@ -22,7 +22,7 @@ use crate::mapping::{
 };
 use spex_dataflow::{AnalyzedModule, MemLoc, ModuleSummaries, TaintEngine, TaintResult, TaintRoot};
 use spex_ir::{Callee, FuncId, Instr, Module, ValueId};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
 pub use evidence::{Evidence, ResetEvidence, StringCmpEvidence};
@@ -230,18 +230,18 @@ impl SpexAnalysis {
     }
 }
 
-/// The fingerprint-keyed cache for the expensive intermediate artifacts
-/// of one module's analysis: the prepared [`AnalyzedModule`] (SSA form,
-/// CFGs, dominators, use-def chains), the config-mapping extraction
-/// result, and the per-parameter taint slices.
+/// The cache for the expensive intermediate artifacts of one module's
+/// analysis: the prepared [`AnalyzedModule`] (SSA form, CFGs, dominators,
+/// use-def chains), the config-mapping extraction result, the function
+/// summaries and the per-parameter taint slices.
 ///
 /// One cache belongs to one module lineage. [`Spex::analyze_scoped`]
 /// consults it through an [`Incremental`] that names the dirty functions,
 /// and refills it after every run. A warm re-analysis after a small edit
 /// recomputes only the artifacts the edit could have touched and reuses
-/// the rest by `Arc` bump. The cache also holds what the previous
-/// generation's call edges and slices reached, so the core alone decides
-/// which parameters an edit re-infers. Dropping the cache, or passing
+/// the rest by `Arc` bump. The cache also holds the previous generation's
+/// call edges, summaries and slices, so the core alone decides which
+/// parameters an edit re-infers. Dropping the cache, or passing
 /// `dirty = None`, degrades gracefully to a full analysis.
 #[derive(Default)]
 pub struct PassCache {
@@ -252,9 +252,10 @@ pub struct PassCache {
 pub struct Incremental<'a> {
     /// The lineage's pass cache, consulted and refilled.
     pub cache: &'a mut PassCache,
-    /// Every function whose lowered IR changed since the cache was last
-    /// filled: changed, added *and* removed ones. `None` means the change
-    /// is unknown or touches the header or annotations, and everything is
+    /// Every function whose source changed since the cache was last
+    /// filled: changed, added *and* removed ones. A function not named
+    /// must lower to the same IR as before. `None` means the change is
+    /// unknown or touches the header or annotations, and everything is
     /// recomputed.
     pub dirty: Option<&'a BTreeSet<String>>,
     /// The most scoped workers the per-parameter passes may use.
@@ -463,15 +464,21 @@ impl Spex {
     /// Mapping and taint tracking cover every parameter, but on a warm
     /// run the five constraint-inference passes re-run only for the
     /// parameters the edit could affect (the parameter-scope rule in
-    /// `docs/analysis.md`). The dirty functions are closed over the
-    /// previous generation's call edges, since a removed call can take
-    /// away the guards a callee inherited, and then over the new ones,
-    /// since editing a caller changes the guards its callees inherit. A
-    /// parameter re-runs when its slice was recomputed, so it may differ
-    /// from the cached one, even by shrinking away from every dirty
-    /// function; or when its slice touches that closure. A slice served
-    /// from the cache *is* the previous generation's, so this also covers
-    /// every parameter whose previous slice touched the closure.
+    /// `docs/analysis.md`). The dirty functions are first widened by what
+    /// the edit changed in recomputed artifacts: every function whose
+    /// summary changed, every caller (old or new) of a function whose
+    /// never-returns flag or return transfer changed, and every function
+    /// where a recomputed slice's tainted values differ from the cached
+    /// one's — a parameter mapped only before or only now counts with its
+    /// whole slice. That set is closed over the previous generation's call
+    /// edges, since a removed call can take away the guards a callee
+    /// inherited, and then over the new ones, since editing a caller
+    /// changes the guards its callees inherit. A parameter re-runs when
+    /// its slice was recomputed, so it may differ from the cached one, even
+    /// by shrinking away from every dirty function; or when its slice
+    /// touches that closure. A slice served from the cache *is* the
+    /// previous generation's, so this also covers every parameter whose
+    /// previous slice touched the closure.
     ///
     /// The rest come back as [`stale`](ParamReport::stale) reports, and
     /// incremental callers keep their persisted constraints.
@@ -580,7 +587,7 @@ impl Spex {
         // function invalidates exactly its component plus the components
         // that (transitively) call into it; every other component is
         // reused from the previous generation by clone.
-        let summaries: Arc<ModuleSummaries> = {
+        let (summaries, recomputed) = {
             let _span = spex_obs::span("infer.summary");
             let prev_summaries = prev.map(|(state, dirty)| {
                 let dirty_fns: Vec<bool> = am
@@ -597,7 +604,7 @@ impl Spex {
             );
             passes.summary_runs += stats.runs;
             passes.summary_cache_hits += stats.hits;
-            Arc::new(s)
+            (Arc::new(s), stats.recomputed)
         };
 
         // Taint slices: reuse every slice the edit provably cannot reach.
@@ -644,10 +651,22 @@ impl Spex {
         let in_scope: Vec<bool> = match prev {
             None => vec![true; params.len()],
             Some((state, dirty)) => {
-                // Close over the old call edges, then the new ones.
-                let mut closed = dirty.clone();
+                // Widen the edit by what it changed in recomputed
+                // artifacts, then close over the old call edges, then the
+                // new ones.
+                let mut seeds = dirty.clone();
+                seeds.extend(changed_by_recomputation(
+                    state,
+                    &am,
+                    &summaries,
+                    &recomputed,
+                    &params,
+                    &taints,
+                    &slice_hit,
+                ));
+                let mut closed = seeds.clone();
                 closed.extend(
-                    expand_dirty_functions(&state.am, dirty)
+                    expand_dirty_functions(&state.am, &seeds)
                         .into_iter()
                         .map(|fid| state.am.module.func(fid).name.clone()),
                 );
@@ -796,6 +815,74 @@ impl Spex {
     }
 }
 
+/// The functions outside an edit whose input to the parameter passes a
+/// recomputed artifact changed (part 4 of the parameter-scope rule in
+/// `docs/analysis.md`, applied before the callee closures):
+///
+/// * every function whose recomputed summary differs from the cached one;
+/// * every caller, in the old or the new call graph, of a function whose
+///   never-returns flag or return transfer changed: callers read both at
+///   the call site, where an arm calling it starts or stops exiting, and
+///   a branch on a predicate helper's verdict guards parameters whose
+///   slices never enter the helper;
+/// * every function where a recomputed slice's tainted values differ from
+///   the cached slice's, since the multi-parameter passes read every
+///   parameter's slice. A parameter mapped only before, or only now,
+///   counts with its whole slice.
+///
+/// The cached generation's functions are a prefix of `am`'s (the cache is
+/// dropped otherwise), so an id names the same function in both.
+fn changed_by_recomputation(
+    state: &CacheState,
+    am: &AnalyzedModule,
+    summaries: &ModuleSummaries,
+    recomputed: &[bool],
+    params: &[MappedParam],
+    taints: &[Arc<TaintResult>],
+    slice_hit: &[bool],
+) -> BTreeSet<String> {
+    let mut changed: HashSet<FuncId> = HashSet::new();
+    for (i, _) in recomputed.iter().enumerate().filter(|(_, ran)| **ran) {
+        let f = FuncId(i as u32);
+        let now = summaries.get(f);
+        let was = (i < state.summaries.len()).then(|| state.summaries.get(f));
+        if was == Some(now) {
+            continue;
+        }
+        changed.insert(f);
+        if was.is_some_and(|was| was.never_returns != now.never_returns || was.ret != now.ret) {
+            for graph in [&state.am.callgraph, &am.callgraph] {
+                let sites = graph.callers_of.get(&f).into_iter().flatten();
+                changed.extend(sites.map(|site| site.caller));
+            }
+        }
+    }
+    let all_reused = slice_hit.iter().all(|&hit| hit);
+    if !(all_reused && state.slices.len() == params.len()) {
+        let empty = TaintResult::default();
+        let mut differ = |was: &TaintResult, now: &TaintResult| {
+            for (a, b) in [(was, now), (now, was)] {
+                let only_in_a = a.values.keys().filter(|key| !b.values.contains_key(key));
+                changed.extend(only_in_a.map(|(f, _)| *f));
+            }
+        };
+        let recomputed_slices = params.iter().zip(taints).zip(slice_hit);
+        for ((p, now), _) in recomputed_slices.filter(|(_, hit)| !**hit) {
+            differ(state.slices.get(&p.name).map_or(&empty, |c| &c.taint), now);
+        }
+        let mapped: HashSet<&str> = params.iter().map(|p| p.name.as_str()).collect();
+        for (param, cached) in &state.slices {
+            if !mapped.contains(param.as_str()) {
+                differ(&cached.taint, &empty);
+            }
+        }
+    }
+    changed
+        .into_iter()
+        .map(|f| am.module.func(f).name.clone())
+        .collect()
+}
+
 /// Closes a set of dirty function names over the call graph: dirty
 /// functions plus every transitive *callee* of one. Editing a caller can
 /// change the guards its callees inherit (the control-dependency pass
@@ -877,13 +964,13 @@ mod tests {
     "#;
 
     /// Analyzes `before` into a fresh cache, then `after` warm with
-    /// `dirty`, both at `threads`.
+    /// `dirty`, both at `threads`; returns both analyses.
     fn reanalyze(
         before: &str,
         after: &str,
         dirty: Option<&BTreeSet<String>>,
         threads: usize,
-    ) -> SpexAnalysis {
+    ) -> (SpexAnalysis, SpexAnalysis) {
         let anns = Annotation::parse(ANN).unwrap();
         let mut cache = PassCache::default();
         let mut run = |src: &str, dirty| {
@@ -896,7 +983,7 @@ mod tests {
         };
         let cold = run(before, None);
         assert!(cold.reports.iter().all(|r| !r.stale));
-        run(after, dirty)
+        (cold, run(after, dirty))
     }
 
     /// The counts of a warm run over [`GUARDED`]'s two parameters that
@@ -978,16 +1065,20 @@ mod tests {
         ];
         for threads in [1, 4] {
             for (before, after, dirty, passes) in &cases {
-                let warm = reanalyze(before, after, *dirty, threads);
+                let (prev, warm) = reanalyze(before, after, *dirty, threads);
                 let context = format!("{dirty:?} at {threads} threads:{after}");
                 assert_eq!(warm.passes, *passes, "{context}");
                 let stale: Vec<bool> = warm.reports.iter().map(|r| r.stale).collect();
                 assert_eq!(stale, [passes.basic_type == 1, false], "{context}");
-                // Every re-inferred report equals a cold analysis's.
+                // Every re-inferred report equals a cold analysis's, and a
+                // stale one's constraints, kept from `before`, do too.
                 let cold = analyze(after, ANN);
-                for (w, c) in warm.reports.iter().zip(&cold.reports) {
+                for ((w, c), p) in warm.reports.iter().zip(&cold.reports).zip(&prev.reports) {
                     assert_eq!(w.param.name, c.param.name);
-                    if !w.stale {
+                    if w.stale {
+                        assert_eq!(p.param.name, c.param.name);
+                        assert_eq!(p.constraints, c.constraints, "{context}");
+                    } else {
                         assert_eq!(w.constraints, c.constraints, "{context}");
                         assert_eq!(format!("{:?}", w.evidence), format!("{:?}", c.evidence));
                     }

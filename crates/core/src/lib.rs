@@ -55,9 +55,7 @@ pub use constraint::{
     BasicType, CmpOp, Constraint, ConstraintKind, ControlDep, DiagCode, EnumAlternative, EnumValue,
     NumericRange, RangeSegment, SemType, SizeUnit, TimeUnit, ValueRel,
 };
-pub use fingerprint::{
-    diff_fingerprints, function_fingerprints, header_fingerprint, FingerprintDiff,
-};
+pub use fingerprint::{diff_fingerprints, FingerprintDiff};
 pub use infer::{
     CountField, CountKind, Incremental, ParamReport, PassCache, PassCounts, Spex, SpexAnalysis,
 };

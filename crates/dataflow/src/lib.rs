@@ -33,7 +33,6 @@
 pub mod callgraph;
 pub mod memloc;
 pub mod scc;
-pub mod slice;
 pub mod summary;
 pub mod taint;
 pub mod usedef;
@@ -106,9 +105,10 @@ impl AnalyzedModule {
     ///
     /// Reuse is only sound when the unchanged functions are *identical*
     /// (same lowered IR) **and** every id they embed still resolves to the
-    /// same entity. The caller guarantees the former (fingerprint
-    /// equality); this method verifies the latter and falls back to a full
-    /// [`build_ref`](AnalyzedModule::build_ref) when it cannot:
+    /// same entity. The caller guarantees the former (it names every
+    /// function whose item key changed); this method verifies the latter
+    /// and falls back to a full [`build_ref`](AnalyzedModule::build_ref)
+    /// when it cannot:
     ///
     /// * the previous function table must be a prefix of the new one
     ///   (same names in the same order; additions only at the end), so

@@ -158,7 +158,7 @@ impl ModuleSummaries {
     /// dirty member and no recomputed callee component.
     ///
     /// `dirty` is indexed by the *new* module's function ids; the caller
-    /// guarantees (fingerprint equality plus stable ids) that a non-dirty
+    /// guarantees (unchanged item keys plus stable ids) that a non-dirty
     /// function's body is identical to its previous generation. A dirty
     /// component invalidates exactly itself plus its transitive dependents
     /// (callers), matching the bottom-up evaluation order.
@@ -247,11 +247,6 @@ impl ModuleSummaries {
     /// The condensation the summaries were evaluated over.
     pub fn condensation(&self) -> &Condensation {
         &self.scc
-    }
-
-    /// Count of summaries carrying at least one fact (for telemetry).
-    pub fn fact_count(&self) -> usize {
-        self.fns.iter().filter(|s| !s.is_empty()).count()
     }
 }
 

@@ -334,7 +334,7 @@ impl Instr {
 }
 
 /// A block terminator.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Terminator {
     /// Unconditional jump.
     Br(BlockId),

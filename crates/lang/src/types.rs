@@ -73,11 +73,6 @@ impl CType {
         matches!(self, CType::Int { .. } | CType::Bool | CType::Enum(_))
     }
 
-    /// Whether this is a pointer type.
-    pub fn is_pointer(&self) -> bool {
-        matches!(self, CType::Ptr(_) | CType::FuncPtr)
-    }
-
     /// Whether values of this type fit in a scalar machine register
     /// (everything except structs and arrays).
     pub fn is_scalar(&self) -> bool {

@@ -143,11 +143,6 @@ impl<'m> Vm<'m> {
         out
     }
 
-    /// Clears captured logs (between harness phases).
-    pub fn clear_logs(&mut self) {
-        self.logs.clear();
-    }
-
     // --- Execution ---------------------------------------------------------
 
     fn exec(&mut self, f: FuncId, args: Vec<Value>) -> Result<Value, VmHalt> {

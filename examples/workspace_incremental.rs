@@ -1,8 +1,8 @@
 //! The incremental workspace session end to end.
 //!
 //! A `Workspace` is the redesigned primary entry point: it owns sources,
-//! annotations and a persisted constraint database, fingerprints functions
-//! to know what an edit dirtied, and re-infers only that — so constraint
+//! annotations and a persisted constraint database, keys functions by
+//! their tokens to know what an edit dirtied, and re-infers only that — so constraint
 //! checking is cheap enough to run on *every* change, which is the only
 //! regime where "the system, not the user, catches the misconfiguration"
 //! actually holds.
@@ -71,7 +71,7 @@ fn main() {
         ws.check_text(conf).len()
     );
 
-    // Release 2: one function changed; the fingerprint diff knows which.
+    // Release 2: one function changed; the item-key diff knows which.
     let diff = ws.update_module("main.c", V2_SOURCE).expect("v2 parses");
     println!("\nrelease 2 edit dirties: {:?}", diff.changed);
     let r = ws.reanalyze();
@@ -84,8 +84,8 @@ fn main() {
 
     // The pass-level cache made the warm run cheap: the edit touched only
     // `reaper`, so `listener-threads`'s taint slice and the mapping
-    // extraction were served from the fingerprint-keyed cache, and the
-    // stored module was shared into the analysis, never deep-cloned.
+    // extraction were served from the pass cache, and the stored module
+    // was shared into the analysis, never deep-cloned.
     println!(
         "  pass cache: {} slice hit(s), {} slice recompute(s), {} mapping hit(s); \
          module deep-clones: {}",

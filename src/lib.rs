@@ -31,9 +31,10 @@
 //! # The primary entry point: [`Workspace`]
 //!
 //! A [`Workspace`] is a long-lived session owning sources, annotations and
-//! a persisted constraint database. It fingerprints functions, re-infers
-//! only what a change dirtied, merges results into a versioned database,
-//! and streams whole configuration trees through the batch checker:
+//! a persisted constraint database. It keys each function by its tokens,
+//! re-infers only what a change dirtied, merges results into a versioned
+//! database, and streams whole configuration trees through the batch
+//! checker:
 //!
 //! ```
 //! use spex::conf::Dialect;

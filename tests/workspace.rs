@@ -506,10 +506,10 @@ fn reanalyze_performs_zero_module_deep_clones() {
 }
 
 /// The pass-cache acceptance criterion, part 2: after an edit that adds an
-/// isolated function (same fingerprints for everything else), the warm
+/// isolated function (same item keys for everything else), the warm
 /// `reanalyze` serves every cacheable artifact — the mapping extraction
-/// and every parameter's taint slice — from the fingerprint-keyed cache:
-/// 100% hits, zero recomputations, zero inference passes.
+/// and every parameter's taint slice — from the pass cache: 100% hits,
+/// zero recomputations, zero inference passes.
 #[test]
 fn no_op_edit_yields_full_cache_hits() {
     let mut ws = workspace_over(BASE);
@@ -537,7 +537,7 @@ fn no_op_edit_yields_full_cache_hits() {
     assert_eq!(warm.passes.total(), 0, "no inference pass re-ran");
     assert_eq!(warm.params_reinferred, 0);
 
-    // A same-fingerprint (comment-only) edit does not even analyze.
+    // A comment-only edit changes no key and does not even analyze.
     let diff = ws
         .update_module("main.c", &format!("// audit\n{probed}"))
         .unwrap();
@@ -861,9 +861,9 @@ fn incremental_multi_module_db_serializes_byte_identical_to_fresh() {
 }
 
 /// Inserting a function between a caller and its callee shifts the
-/// callee's index. The caller's printed IR names its callee, so its
-/// fingerprint is unchanged; reusing its previous allocation would keep
-/// `Callee::Func` ids that now name the inserted function. Such an edit
+/// callee's index. The caller's source names its callee, so its key is
+/// unchanged; reusing its previous allocation would keep `Callee::Func`
+/// ids that now name the inserted function. Such an edit
 /// re-infers the module whole instead, and the warm db stays equal to a
 /// fresh one through the insertion and a later edit of the callee.
 #[test]
@@ -898,7 +898,7 @@ fn a_function_inserted_mid_module_leaves_no_stale_callee_ids() {
 }
 
 /// A module function named like a builtin takes the calls by that name,
-/// yet the caller's printed IR, and so its fingerprint, names both alike.
+/// yet the caller's source, and so its key, names both alike.
 /// Appending one after its callers, or removing one defined last, keeps
 /// every other function's index; the callers must still be lowered again,
 /// or they keep calling the builtin, or a function id past the end.
@@ -934,4 +934,152 @@ fn a_function_named_like_a_builtin_coming_or_going_relowers_its_callers() {
         assert_eq!(ws.db().save_to_string(), fresh(source), "{source}");
     }
     assert_eq!(ws.function_clones(), 0);
+}
+
+/// Edits `before` into `after` and back in a warm workspace, at 1 and at
+/// 4 threads, and asserts that after each step the database and the
+/// reaction verdicts equal a fresh workspace's over the same source.
+fn assert_warm_equals_fresh(before: &str, after: &str, anns: &str) {
+    assert_ne!(before, after, "the edit must change the source");
+    let analyzed = |source: &str, threads: usize| {
+        let mut ws = Workspace::new("Test", Dialect::KeyValue).with_threads(threads);
+        ws.add_module("main.c", source, anns).unwrap();
+        ws.reanalyze();
+        ws
+    };
+    let state = |ws: &Workspace| {
+        (
+            ws.db().save_to_string(),
+            format!("{:?}", ws.reaction_findings()),
+        )
+    };
+    for threads in [1, 4] {
+        for (from, to) in [(before, after), (after, before)] {
+            let mut ws = analyzed(from, threads);
+            ws.update_module("main.c", to).unwrap();
+            ws.reanalyze();
+            assert_eq!(
+                state(&ws),
+                state(&analyzed(to, threads)),
+                "at {threads} threads:{from}→{to}"
+            );
+            assert_eq!(ws.function_clones(), 0);
+        }
+    }
+}
+
+// Edits whose effect reaches other parameters through an artifact the
+// core recomputes, not through the edited function's callees.
+
+/// `a` flows into `mode` only after the edit, and `mode` guards `b`'s use
+/// in `worker`, which nobody edits: `a`'s recomputed slice grows into it.
+#[test]
+fn a_slice_growing_into_an_unedited_guard_reinfers_the_guarded_parameter() {
+    const STORED: &str = r#"
+        int a = 0;
+        int b = 5;
+        int mode = 0;
+        struct opt { char* name; int* var; };
+        struct opt options[] = { { "a", &a }, { "b", &b } };
+        void setup() { mode = 0; }
+        void worker() { if (mode == 1) { sleep(b); } }
+    "#;
+    assert_warm_equals_fresh(STORED, &STORED.replace("mode = 0; }", "mode = a; }"), ANN);
+}
+
+/// `bail` starts exiting: the unedited caller's `if (b > 10)` becomes a
+/// range check on `b`.
+#[test]
+fn a_helper_that_starts_exiting_reinfers_its_callers_checks() {
+    const BAIL: &str = r#"
+        int b = 5;
+        struct opt { char* name; int* var; };
+        struct opt options[] = { { "b", &b } };
+        void bail() { }
+        void startup() {
+            if (b > 10) { bail(); }
+            sleep(b);
+        }
+    "#;
+    assert_warm_equals_fresh(
+        BAIL,
+        &BAIL.replace("bail() { }", "bail() { exit(1); }"),
+        ANN,
+    );
+}
+
+/// `die` starts exiting under the check of a validator `port` is passed
+/// to, so the validator's summary gains a check.
+#[test]
+fn a_validator_whose_helper_starts_exiting_reinfers_what_it_validates() {
+    const DIE: &str = r#"
+        int port = 8080;
+        struct opt { char* name; int* var; };
+        struct opt options[] = { { "port", &port } };
+        void die() { }
+        void check_port(int v) { if (v > 100) { die(); } }
+        void startup() {
+            check_port(port);
+            listen(0, port);
+        }
+    "#;
+    assert_warm_equals_fresh(DIE, &DIE.replace("die() { }", "die() { exit(1); }"), ANN);
+}
+
+/// A new parser arm maps `ya`, the global that guards `b`'s use; the
+/// reverse edit unmaps it.
+#[test]
+fn a_parser_arm_mapping_a_guard_reinfers_the_guarded_parameter() {
+    const PARSER: &str = r#"
+        int b = 5;
+        int x = 0;
+        int ya = 0;
+        struct opt { char* name; int* var; };
+        struct opt options[] = { { "b", &b } };
+        int handle_config(char* name, char* value) {
+            if (strcmp(name, "x") == 0) { x = atoi(value); return 1; }
+            return 0;
+        }
+        void worker() { if (ya) { sleep(b); } }
+    "#;
+    const TWO_ANNS: &str = "{ @STRUCT = options\n @PAR = [opt, 1]\n @VAR = [opt, 2] }\n\
+                            { @PARSER = handle_config\n @PAR = $name\n @VAR = $value }";
+    // On one line: a function the edit moves would keep its old spans.
+    let arm = "if (strcmp(name, \"ya\") == 0) { ya = atoi(value); return 1; } return 0;";
+    assert_warm_equals_fresh(PARSER, &PARSER.replace("return 0;", arm), TWO_ANNS);
+}
+
+/// `valid`'s return transfer changes: the guard `if (valid(a))` in the
+/// unedited `startup` is a dependency of `b`, whose slice never enters
+/// `valid`.
+#[test]
+fn a_predicate_helper_edit_reinfers_the_dependencies_it_guards() {
+    const VALID: &str = r#"
+        int a = 1;
+        int b = 5;
+        struct opt { char* name; int* var; };
+        struct opt options[] = { { "a", &a }, { "b", &b } };
+        int valid(int v) { return v > 0 && v < 100; }
+        void startup() { if (valid(a)) { sleep(b); } }
+    "#;
+    assert_warm_equals_fresh(VALID, &VALID.replace("v > 0", "v > 5"), ANN);
+}
+
+/// A call's result is typed by its callee's return type. When `widen`
+/// returns `int` instead of `long`, the cast in `startup`, whose tokens
+/// did not change, stops converting `c`, so `startup` must be lowered
+/// again even though its source is the same.
+#[test]
+fn a_return_type_edit_relowers_the_callers() {
+    const WIDEN: &str = r#"
+        int c = 4;
+        struct opt { char* name; int* var; };
+        struct opt options[] = { { "c", &c } };
+        long widen(int v) { return v; }
+        void startup() {
+            int n = (int) widen(c);
+            sleep(n);
+        }
+    "#;
+    assert_warm_equals_fresh(WIDEN, &WIDEN.replace("long widen", "int widen"), ANN);
 }
