@@ -452,14 +452,26 @@ fn bench_workspace(r: &Runner) {
         }
     }
 
-    // An edit re-parses and re-lowers only the function items it changed:
-    // `update_module` alone, alternating two one-line `test_smoke` bodies
-    // on Storage-A (239 KB, 1,199 items). The self-check asserts the item
-    // path's contract: the diff names `test_smoke` alone, and every other
-    // function keeps its allocation.
-    if r.selected("workspace/update_storage_a") {
+    // Storage-A (239 KB, 1,199 items), generated once for the three
+    // `update_storage_a` rows, and how many of an earlier generation's
+    // functions its module still shares.
+    let storage_a = std::cell::OnceCell::new();
+    let storage_a = || {
         let spec = spex_systems::system_by_name("Storage-A").unwrap();
-        let gen = spex_systems::generate(&spec);
+        storage_a.get_or_init(|| spex_systems::generate(&spec))
+    };
+    let kept = |before: &[std::sync::Arc<spex_ir::Function>], ws: &Workspace| {
+        let after = &ws.module("gen.c").unwrap().functions;
+        let shared = before.iter().zip(after);
+        shared.filter(|(a, b)| std::sync::Arc::ptr_eq(a, b)).count()
+    };
+
+    // An edit re-parses and re-lowers only the function items it changed:
+    // `update_module` alone, alternating two one-line `test_smoke` bodies.
+    // The self-check asserts the item path's contract: the diff names
+    // `test_smoke` alone, and every other function keeps its allocation.
+    if r.selected("workspace/update_storage_a") {
+        let gen = storage_a();
         let smoke = "int test_smoke() { return 0; }";
         assert_eq!(gen.source.matches(smoke).count(), 1);
         let variants = [1, 2].map(|pad| {
@@ -475,12 +487,7 @@ fn bench_workspace(r: &Runner) {
         let diff = ws.update_module("gen.c", &variants[0]).unwrap();
         assert_eq!(diff.changed, vec!["test_smoke".to_string()]);
         assert!(diff.added.is_empty() && diff.removed.is_empty());
-        let after = &ws.module("gen.c").unwrap().functions;
-        let kept = before
-            .iter()
-            .zip(after)
-            .filter(|(a, b)| std::sync::Arc::ptr_eq(a, b))
-            .count();
+        let kept = kept(&before, &ws);
         assert_eq!(kept, before.len() - 1, "only test_smoke is rebuilt");
         assert_eq!(ws.module_clones() + ws.function_clones(), 0);
         println!(
@@ -497,56 +504,72 @@ fn bench_workspace(r: &Runner) {
         });
     }
 
-    // The whole-module path: `update_module` alone, alternating Storage-A's
-    // source with and without an appended `void bench_probe() { }`, so
-    // every update adds or removes an item and parses and lowers them all.
-    // The self-check asserts the key diff: `bench_probe` added or removed
-    // and nothing else, and every other function keeps its allocation.
+    // The whole-module path, always cold: `update_module` alone, toggling
+    // an appended global, so every update parses and lowers every item.
+    // The self-check asserts that no function keeps its allocation and
+    // that the next `reanalyze` re-infers every parameter.
     if r.selected("workspace/update_storage_a_whole") {
-        let spec = spex_systems::system_by_name("Storage-A").unwrap();
-        let gen = spex_systems::generate(&spec);
+        let gen = storage_a();
         let variants = [
             gen.source.clone(),
-            format!("{}\nvoid bench_probe() {{ }}\n", gen.source),
+            format!("{}\nint bench_probe_g = 0;\n", gen.source),
         ];
         let mut ws = Workspace::new("Storage-A", gen.dialect);
         ws.add_module("gen.c", &variants[0], &gen.annotations)
             .unwrap();
-        let mut kept = 0;
-        for (to, added) in [(1, true), (0, false)] {
-            let before = ws.module("gen.c").unwrap().functions.clone();
-            let diff = ws.update_module("gen.c", &variants[to]).unwrap();
-            let probe = vec!["bench_probe".to_string()];
-            let (want_added, want_removed) = if added {
-                (probe, Vec::new())
-            } else {
-                (Vec::new(), probe)
-            };
-            assert!(diff.changed.is_empty(), "{diff:?}");
-            assert_eq!((diff.added, diff.removed), (want_added, want_removed));
-            let after = &ws.module("gen.c").unwrap().functions;
-            kept = before
-                .iter()
-                .zip(after)
-                .filter(|(a, b)| std::sync::Arc::ptr_eq(a, b))
-                .count();
-            assert_eq!(
-                kept,
-                before.len().min(after.len()),
-                "only bench_probe is new"
-            );
-        }
+        ws.reanalyze();
+        let before = ws.module("gen.c").unwrap().functions.clone();
+        let diff = ws.update_module("gen.c", &variants[1]).unwrap();
+        assert!(diff.is_empty(), "{diff:?}");
+        assert_eq!(kept(&before, &ws), 0, "the whole path keeps no Arc");
+        let cold = ws.reanalyze();
+        assert_eq!(cold.params_reinferred, cold.params_total, "dirty whole");
         assert_eq!(ws.module_clones() + ws.function_clones(), 0);
         println!(
-            "workspace/update_storage_a_whole self-check: OK (diff [\"bench_probe\"] added \
-             and removed, {kept} functions keep their Arc)"
+            "workspace/update_storage_a_whole self-check: OK (no function keeps its Arc, all \
+             {} parameters re-inferred)",
+            cold.params_total
         );
         let ws = std::cell::RefCell::new(ws);
-        let flip = std::cell::Cell::new(1usize);
+        let flip = std::cell::Cell::new(0usize);
         r.bench("workspace/update_storage_a_whole", || {
             let source = &variants[flip.get() % 2];
             flip.set(flip.get() + 1);
             black_box(ws.borrow_mut().update_module("gen.c", source).unwrap())
+        });
+    }
+
+    // An appended function takes the item path: each iteration appends
+    // `void bench_probe() { }` (the item path lowers it alone) and removes
+    // it again (the whole path). The self-check asserts that the append
+    // reports `bench_probe` added and keeps every other function's
+    // allocation.
+    if r.selected("workspace/update_storage_a_append") {
+        let gen = storage_a();
+        let appended = format!("{}\nvoid bench_probe() {{ }}\n", gen.source);
+        let mut ws = Workspace::new("Storage-A", gen.dialect);
+        ws.add_module("gen.c", &gen.source, &gen.annotations)
+            .unwrap();
+        let before = ws.module("gen.c").unwrap().functions.clone();
+        let diff = ws.update_module("gen.c", &appended).unwrap();
+        let probe = vec!["bench_probe".to_string()];
+        assert_eq!(
+            (diff.changed, diff.added, diff.removed),
+            (vec![], probe, vec![])
+        );
+        let kept = kept(&before, &ws);
+        assert_eq!(kept, before.len(), "only bench_probe is new");
+        assert_eq!(ws.module_clones() + ws.function_clones(), 0);
+        println!(
+            "workspace/update_storage_a_append self-check: OK (diff [\"bench_probe\"] added, \
+             {kept} functions keep their Arc)"
+        );
+        ws.update_module("gen.c", &gen.source).unwrap();
+        let ws = std::cell::RefCell::new(ws);
+        r.bench("workspace/update_storage_a_append", || {
+            let mut ws = ws.borrow_mut();
+            black_box(ws.update_module("gen.c", &appended).unwrap());
+            black_box(ws.update_module("gen.c", &gen.source).unwrap())
         });
     }
 

@@ -10,8 +10,10 @@
 //! * each top-level item of a module's source is **keyed** by its tokens
 //!   without their positions, and the stored keys are the only record an
 //!   edit is compared with: [`Workspace::update_module`] knows which
-//!   functions changed (whitespace, comment and move edits dirty nothing)
-//!   and re-parses and re-lowers only the function bodies it touched; a
+//!   functions changed (whitespace, comment and move edits dirty nothing).
+//!   An edit in place or an appended function re-parses and re-lowers only
+//!   those functions and re-infers only what they reach; any other edit
+//!   re-infers the module whole. Re-spaced annotations re-infer nothing. A
 //!   batch of new modules ([`Workspace::add_modules`]) is parsed and
 //!   lowered on the worker pool;
 //! * [`Workspace::reanalyze`] tells the core which functions changed
@@ -64,6 +66,7 @@ use spex_core::infer::{Incremental, PassCache, PassCounts, Spex};
 use spex_core::{Annotation, Constraint};
 use spex_ir::lower::LowerCtx;
 use spex_ir::Module;
+use spex_lang::ast::FunctionDef;
 use spex_lang::items::{split_items, ItemKey, ItemKind, ItemSpan};
 use spex_lang::lexer::Lexer;
 use spex_lang::parser::Parser;
@@ -82,8 +85,8 @@ enum Dirty {
     Clean,
     /// Only these functions changed since the last analysis.
     Functions(BTreeSet<String>),
-    /// Everything must be re-inferred (new module, header or annotation
-    /// change).
+    /// Everything must be re-inferred (a new module, an edit off the item
+    /// path, or changed annotations).
     All,
 }
 
@@ -127,89 +130,99 @@ struct SourceModule {
 }
 
 impl SourceModule {
-    /// The item path of [`Workspace::update_module`]: when `items` (the new
-    /// source's) match the stored keys in order, kind and head, re-parses
-    /// and re-lowers only the function bodies whose key changed, which it
-    /// reports as changed, and the globals that moved, then assembles the
-    /// new module from the old one's parts (kept as it is when nothing in
-    /// it changed). `None`, with nothing changed, when the edit needs the
-    /// whole-module path.
+    /// The item path of [`Workspace::update_module`], the only path that
+    /// keeps allocations (its rule is stated there). Re-parses and
+    /// re-lowers the functions whose key changed, reported as changed, and
+    /// the appended ones, reported as added, through one context that knows
+    /// the appended functions; re-lowers the globals that moved; and
+    /// assembles the new module from the old one's parts (kept as it is
+    /// when nothing in it changed). `None`, with nothing changed, when the
+    /// edit needs the whole-module path.
     fn update_items(
         &mut self,
         tokens: &[Token<'_>],
         items: &[ItemSpan],
     ) -> Option<FingerprintDiff> {
-        let keys = self.items.as_deref_mut()?;
-        // A function's body may differ; any other item's key is its head.
-        let same_shape = keys.len() == items.len()
-            && keys
-                .iter()
-                .zip(items)
-                .all(|(old, new)| old.kind == new.key.kind && old.head == new.key.head);
-        if !same_shape {
+        let keys = self.items.as_deref()?;
+        let old = &*self.module;
+        let is_function = |key: &&ItemKey| key.kind == ItemKind::Function;
+        let others = keys.iter().filter(|k| !is_function(k));
+        if !others.eq(items.iter().map(|i| &i.key).filter(|k| !is_function(k))) {
             return None;
         }
-        let old = &*self.module;
-        // Built on first use: a comment or whitespace edit lowers nothing.
-        let mut ctx = None;
-        let mut functions = Vec::new();
+        let functions = items.iter().filter(|i| i.key.kind == ItemKind::Function);
+        if functions.clone().count() < old.functions.len() {
+            return None;
+        }
+        // Parse every function whose key changed and every appended one.
+        let mut stored = keys.iter().filter(is_function);
+        let mut defs = Vec::new();
+        for (i, item) in functions.enumerate() {
+            if stored.next() == Some(&item.key) {
+                continue;
+            }
+            let Item::Function(def) = parse_item(tokens, item)? else {
+                return None;
+            };
+            let fits = match old.functions.get(i) {
+                Some(f) => f.name == def.name && f.ret == def.ret,
+                None => {
+                    Builtin::from_name(&def.name).is_none()
+                        && old.function_by_name(&def.name).is_none()
+                        && defs
+                            .iter()
+                            .all(|(_, d): &(_, FunctionDef)| d.name != def.name)
+                }
+            };
+            if !fits {
+                return None;
+            }
+            defs.push((i, def));
+        }
+        let split = defs.partition_point(|(i, _)| *i < old.functions.len());
+        let appended = &defs[split..];
         let mut globals = Vec::new();
-        let mut changed = Vec::new();
-        let (mut next_fn, mut next_global) = (0, 0);
-        for (key, item) in keys.iter().zip(items) {
-            match key.kind {
-                ItemKind::Function => {
-                    if key.body != item.key.body {
-                        let Item::Function(def) = parse_item(tokens, item)? else {
-                            return None;
-                        };
-                        let ctx = ctx.get_or_insert_with(|| LowerCtx::of_module(old));
-                        let function = ctx.lower_function(&def).ok()?;
-                        changed.push(function.name.clone());
-                        functions.push((next_fn, Arc::new(function)));
-                    }
-                    next_fn += 1;
-                }
-                ItemKind::Global => {
-                    let span = Parser::new(tokens, item.start).item_name_span().ok()?;
-                    if span != old.globals.get(next_global)?.span {
-                        let Item::Global(def) = parse_item(tokens, item)? else {
-                            return None;
-                        };
-                        let ctx = ctx.get_or_insert_with(|| LowerCtx::of_module(old));
-                        globals.push((next_global, ctx.lower_global(&def).ok()?));
-                    }
-                    next_global += 1;
-                }
-                ItemKind::Struct | ItemKind::Enum => {}
+        let global_items = items.iter().filter(|i| i.key.kind == ItemKind::Global);
+        for (g, item) in global_items.enumerate() {
+            let span = Parser::new(tokens, item.start).item_name_span().ok()?;
+            if span != old.globals.get(g)?.span {
+                let Item::Global(def) = parse_item(tokens, item)? else {
+                    return None;
+                };
+                globals.push((g, def));
             }
         }
-        if next_fn != old.functions.len() || next_global != old.globals.len() {
-            return None;
-        }
-        if !(functions.is_empty() && globals.is_empty()) {
+        // A comment or whitespace edit lowers nothing.
+        if !(defs.is_empty() && globals.is_empty()) {
+            let ctx =
+                LowerCtx::of_module(old, appended.iter().map(|(_, d)| (d.name.as_str(), &d.ret)));
             let mut module = Module::from_parts(
                 old.structs.clone(),
                 old.globals.clone(),
                 old.functions.clone(),
                 old.enum_consts.clone(),
             );
-            for (i, f) in functions {
-                module.functions[i] = f;
+            for (i, def) in &defs {
+                let function = Arc::new(ctx.lower_function(def).ok()?);
+                match module.functions.get_mut(*i) {
+                    Some(f) => *f = function,
+                    None => module.functions.push(function),
+                }
             }
-            for (i, g) in globals {
-                module.globals[i] = g;
+            for (g, def) in &globals {
+                module.globals[*g] = ctx.lower_global(def).ok()?;
             }
             self.module = Arc::new(module);
         }
-        for (key, item) in keys.iter_mut().zip(items) {
-            *key = item.key;
-        }
-        changed.sort_unstable();
-        let diff = FingerprintDiff {
-            changed,
-            ..FingerprintDiff::default()
+        let name = |(_, def): &(usize, FunctionDef)| def.name.clone();
+        let mut diff = FingerprintDiff {
+            changed: defs[..split].iter().map(name).collect(),
+            added: defs[split..].iter().map(name).collect(),
+            removed: Vec::new(),
         };
+        diff.changed.sort_unstable();
+        diff.added.sort_unstable();
+        self.items = Some(items.iter().map(|i| i.key).collect());
         if !diff.is_empty() {
             self.dirty.absorb_functions(diff.dirty_names());
         }
@@ -260,76 +273,22 @@ impl Front {
     }
 }
 
-/// Each function's item key, by name: `items` are the keys of the source
-/// `module` was lowered from, and its function items are the module's
-/// functions, in order.
-fn function_keys(module: &Module, items: &[ItemKey]) -> BTreeMap<String, ItemKey> {
-    items
-        .iter()
-        .filter(|key| key.kind == ItemKind::Function)
-        .zip(&module.functions)
-        .map(|(key, f)| (f.name.clone(), *key))
-        .collect()
-}
-
-/// The diff of two generations when one has no keys: every function
-/// present in both counts as changed.
-fn unkeyed_diff(old: &Module, new: &Module) -> FingerprintDiff {
-    let names = |m: &Module, generation: u8| -> BTreeMap<String, u8> {
-        m.functions
-            .iter()
-            .map(|f| (f.name.clone(), generation))
-            .collect()
-    };
-    diff_fingerprints(&names(old, 0), &names(new, 1))
-}
-
-/// The whole-module path's diff of `old` (lowered from a source keyed
-/// `was`) against a fresh `new` (keyed `now`), and whether the edit is
-/// stable: it kept everything a function's lowering reads (the rule is
-/// stated on [`Workspace::update_module`]). When it is, every function of
-/// `new` whose key is unchanged is swapped for `old`'s allocation: it
-/// lowers to the same IR, so untouched functions stay pointer-equal
-/// across generations (`Arc::ptr_eq`) and downstream reuse — SSA state,
-/// slices — keeps sharing one body.
-fn reuse_unchanged(
-    old: &Module,
-    was: &[ItemKey],
-    new: &mut Module,
-    now: &[ItemKey],
-) -> (FingerprintDiff, bool) {
-    let (old_keys, new_keys) = (function_keys(old, was), function_keys(new, now));
-    let diff = diff_fingerprints(&old_keys, &new_keys);
-    let old_index: HashMap<&str, usize> = old
-        .functions
-        .iter()
-        .enumerate()
-        .map(|(i, f)| (f.name.as_str(), i))
-        .collect();
-    let others = |items: &[ItemKey]| -> Vec<ItemKey> {
-        items
-            .iter()
-            .filter(|key| key.kind != ItemKind::Function)
-            .copied()
-            .collect()
-    };
-    let stable = others(was) == others(now)
-        && (diff.added.iter())
-            .chain(&diff.removed)
-            .all(|f| Builtin::from_name(f).is_none())
-        && new.functions.iter().enumerate().all(|(i, f)| {
-            old_index
-                .get(f.name.as_str())
-                .is_none_or(|&j| j == i && old.functions[j].ret == f.ret)
-        });
-    if stable {
-        for f in &mut new.functions {
-            if old_keys.get(&f.name) == new_keys.get(&f.name) {
-                *f = Arc::clone(&old.functions[old_index[f.name.as_str()]]);
-            }
-        }
-    }
-    (diff, stable)
+/// Each function's item key by name, to diff two generations: `items`
+/// are the keys of the source `module` was lowered from, whose function
+/// items are the module's functions, in order. Without keys every name
+/// maps to its `generation`, so every function present in both
+/// generations counts as changed.
+fn function_keys(
+    module: &Module,
+    items: Option<&[ItemKey]>,
+    generation: u8,
+) -> BTreeMap<String, Result<ItemKey, u8>> {
+    let keys = (items.into_iter().flatten()).filter(|key| key.kind == ItemKind::Function);
+    let keys = keys
+        .map(|key| Ok(*key))
+        .chain(std::iter::repeat(Err(generation)));
+    let functions = module.functions.iter().zip(keys);
+    functions.map(|(f, key)| (f.name.clone(), key)).collect()
 }
 
 fn parse_error(module: &str, e: SourceError) -> WorkspaceError {
@@ -694,9 +653,9 @@ impl Workspace {
         Ok(())
     }
 
-    /// Replaces a module's source. Returns which functions changed; an
-    /// empty diff (e.g. a comment-only edit) leaves the module clean if it
-    /// already was.
+    /// Replaces a module's source. Returns which functions changed, came
+    /// or went; an empty diff (e.g. a comment-only edit) leaves the module
+    /// clean if it already was.
     ///
     /// The new source is lexed once and split into its top-level items
     /// (struct, enum, global, function), each keyed by its tokens without
@@ -706,24 +665,23 @@ impl Workspace {
     /// comments and moves change nothing, while any other token edit to a
     /// function (even `{ }`, or a renamed local) re-infers it.
     ///
-    /// When the items are those of the stored source, in the same order
-    /// and with the same keys except for some function bodies, only those
-    /// bodies are re-parsed and re-lowered (the *item path*); a global that
-    /// only moved is re-lowered for its new span, and every other function
-    /// keeps its allocation. Any other edit — or a changed body that fails
-    /// to parse or lower — takes the whole-module path, which parses and
-    /// lowers every item. Both build the same module, so which one ran
-    /// never shows.
+    /// An edit takes the *item path* when it keeps everything the other
+    /// functions' lowering reads: every item other than a function keeps
+    /// its key, in order; the stored functions come first, in order, each
+    /// with its name and return type (a call's result is typed by it; a
+    /// function whose signature key changed is parsed to check); and any
+    /// further function is appended, named like no builtin (calls by that
+    /// name would switch to it) and no other function. Only the functions
+    /// whose key changed and the appended ones are parsed, lowered and
+    /// marked for re-inference; a global that only moved is re-lowered for
+    /// its new span, and every other function keeps its allocation, so
+    /// downstream reuse (SSA state, slices) keeps sharing one body.
     ///
-    /// On the whole-module path an unchanged function keeps the previous
-    /// generation's `Arc` (so downstream reuse keeps sharing one body), but
-    /// only while everything its lowering read is as it was: every item
-    /// other than a function has the same key, in the same order; every
-    /// surviving function keeps its index and its return type (a call's
-    /// result is typed by it); and no function named like a builtin comes
-    /// or goes (calls by that name switch between the two). Otherwise, or
-    /// when either source has no keys, nothing is reused and the module is
-    /// re-inferred whole.
+    /// Any other edit, or a function that fails to parse or lower on its
+    /// own, takes the *whole-module path*: every item is parsed and
+    /// lowered, no allocation is kept, and the module is re-inferred whole
+    /// (ids, types or call targets may have moved). Both paths build the
+    /// module a whole parse builds.
     pub fn update_module(
         &mut self,
         name: &str,
@@ -738,31 +696,25 @@ impl Workspace {
                 return Ok(diff);
             }
         }
-        let Front { mut module, items } = Front::whole(name, &tokens, &items)?;
+        let Front { module, items } = Front::whole(name, &tokens, &items)?;
         let entry = self
             .modules
             .get_mut(name)
             .ok_or_else(|| WorkspaceError::UnknownModule(name.to_string()))?;
-        let old = &*entry.module;
-        let (diff, stable) = match entry.items.as_deref().zip(items.as_deref()) {
-            Some((was, now)) => reuse_unchanged(old, was, &mut module, now),
-            None => (unkeyed_diff(old, &module), false),
-        };
-        if !stable {
-            // Globals, struct layouts, enum constants, function ids or
-            // return types moved: mappings, declared-type fallbacks, call
-            // edges and call results may shift for any parameter.
-            entry.dirty = Dirty::All;
-        } else if !diff.is_empty() {
-            entry.dirty.absorb_functions(diff.dirty_names());
-        }
+        let diff = diff_fingerprints(
+            &function_keys(&entry.module, entry.items.as_deref(), 0),
+            &function_keys(&module, items.as_deref(), 1),
+        );
+        entry.dirty = Dirty::All;
         entry.module = Arc::new(module);
         entry.items = items;
         Ok(diff)
     }
 
-    /// Replaces a module's mapping annotations (always a full re-inference
-    /// for that module: mappings decide what a parameter even is).
+    /// Replaces a module's mapping annotations. Annotations that parse to
+    /// the stored ones (say, re-spaced) change nothing; any other change
+    /// re-infers the module whole, as mappings decide what a parameter
+    /// even is.
     pub fn update_annotations(
         &mut self,
         name: &str,
@@ -773,8 +725,10 @@ impl Workspace {
             .modules
             .get_mut(name)
             .ok_or_else(|| WorkspaceError::UnknownModule(name.to_string()))?;
-        entry.anns = anns;
-        entry.dirty = Dirty::All;
+        if entry.anns != anns {
+            entry.anns = anns;
+            entry.dirty = Dirty::All;
+        }
         Ok(())
     }
 
@@ -1357,20 +1311,29 @@ mod tests {
         assert_eq!(dirty, Dirty::Functions(["napper".to_string()].into()));
     }
 
+    /// A function renamed in place leaves the item path: a call by the old
+    /// name may now resolve elsewhere, so the module is re-inferred whole.
     #[test]
     fn added_and_removed_functions_are_reported() {
-        let (diff, dirty) = edited(&BASE.replace(
-            "void napper() { sleep(nap); }",
-            "void listener() { listen(0, nap); }",
-        ));
+        let mut ws = ws();
+        ws.reanalyze();
+        let diff = ws
+            .update_module(
+                "main.c",
+                &BASE.replace(
+                    "void napper() { sleep(nap); }",
+                    "void listener() { listen(0, nap); }",
+                ),
+            )
+            .unwrap();
         assert!(diff.changed.is_empty());
         assert_eq!(diff.added, vec!["listener".to_string()]);
         assert_eq!(diff.removed, vec!["napper".to_string()]);
         assert_eq!(diff.dirty_names(), vec!["listener", "napper"]);
-        assert_eq!(
-            dirty,
-            Dirty::Functions(diff.dirty_names().into_iter().collect())
-        );
+        assert_eq!(ws.modules["main.c"].dirty, Dirty::All);
+        let r = ws.reanalyze();
+        assert_eq!(r.params_reinferred, r.params_total);
+        assert_eq!(r.params_reinferred, 2);
     }
 
     /// A global's key is its whole text: an edited initializer re-infers
@@ -1437,10 +1400,13 @@ mod tests {
 
     /// What `update_module` must build: a whole `parse_program` plus
     /// `lower_program`, the diff of the functions' item keys by name, and
-    /// for each function whether it keeps the previous generation's
-    /// allocation — exactly when its key is unchanged while the other
-    /// items' keys, every surviving function's index and return type stay
-    /// put and no function named like a builtin comes or goes.
+    /// whether the edit takes the item path: both sources have keys (no
+    /// two functions share a name); every item other than a function
+    /// keeps its key, in order; the previous generation's functions come
+    /// first, in order, with their names and return types; and the rest
+    /// are named like no builtin. Only the item path keeps allocations, and
+    /// a function keeps the previous generation's exactly when its key is
+    /// unchanged. The whole path keeps none and re-infers the module whole.
     struct Reference {
         /// The fresh whole lowering; no allocation is swapped in.
         module: Module,
@@ -1448,7 +1414,7 @@ mod tests {
         /// For each function, the index of the previous generation's
         /// function whose allocation it keeps.
         kept: Vec<Option<usize>>,
-        stable: bool,
+        item_path: bool,
     }
 
     /// A source's function keys by name and its other items' keys in
@@ -1499,22 +1465,22 @@ mod tests {
                 module,
                 diff,
                 kept,
-                stable: false,
+                item_path: false,
             });
         };
         let diff = diff_fingerprints(&old_keys, &new_keys);
-        let old_index = |name: &str| prev.functions.iter().position(|f| f.name == name);
-        let stable = old_others == new_others
-            && (diff.added.iter())
-                .chain(&diff.removed)
-                .all(|f| spex_lang::Builtin::from_name(f).is_none())
-            && module.functions.iter().enumerate().all(|(i, f)| {
-                old_index(&f.name).is_none_or(|j| j == i && prev.functions[j].ret == f.ret)
-            });
-        if stable {
-            for (i, f) in module.functions.iter().enumerate() {
-                if old_keys.get(&f.name) == new_keys.get(&f.name) {
-                    kept[i] = old_index(&f.name);
+        let n = prev.functions.len();
+        let item_path = old_others == new_others
+            && module.functions.len() >= n
+            && (prev.functions.iter())
+                .zip(&module.functions)
+                .all(|(p, f)| p.name == f.name && p.ret == f.ret)
+            && (module.functions[n..].iter())
+                .all(|f| spex_lang::Builtin::from_name(&f.name).is_none());
+        if item_path {
+            for (i, f) in module.functions[..n].iter().enumerate() {
+                if old_keys[&f.name] == new_keys[&f.name] {
+                    kept[i] = Some(i);
                 }
             }
         }
@@ -1522,22 +1488,22 @@ mod tests {
             diff,
             module,
             kept,
-            stable,
+            item_path,
         })
     }
 
     /// Applies one edit of `prev_source` (the source the module was last
     /// built from) through `update_module` and asserts the outcome is the
     /// reference's in every field. A kept allocation must equal the fresh
-    /// lowering in everything but its spans. Returns whether the edit was
-    /// accepted.
+    /// lowering in everything but its spans. Returns `None` when the edit
+    /// was rejected, else whether it took the item path.
     fn check_step(
         ws: &mut Workspace,
         name: &str,
         prev_source: &str,
         source: &str,
         what: &str,
-    ) -> bool {
+    ) -> Option<bool> {
         let entry = ws.modules.get_mut(name).unwrap();
         entry.dirty = Dirty::Clean;
         let prev = Arc::clone(&entry.module);
@@ -1549,7 +1515,7 @@ mod tests {
                 assert_eq!(got, Err(want), "{name}: {what}");
                 assert!(Arc::ptr_eq(&entry.module, &prev), "{name}: {what}");
                 assert_eq!(entry.dirty, Dirty::Clean, "{name}: {what}");
-                return false;
+                return None;
             }
             (Ok(want), Ok(diff)) => {
                 assert_eq!(diff, want.diff, "{name}: {what}");
@@ -1609,7 +1575,7 @@ mod tests {
             unique.then_some(&keys[..]),
             "{name}: {what}"
         );
-        let dirty = if !want.stable {
+        let dirty = if !want.item_path {
             Dirty::All
         } else if want.diff.is_empty() {
             Dirty::Clean
@@ -1617,7 +1583,7 @@ mod tests {
             Dirty::Functions(want.diff.dirty_names().into_iter().collect())
         };
         assert_eq!(entry.dirty, dirty, "{name}: {what}");
-        true
+        Some(want.item_path)
     }
 
     /// A source's items as byte offsets: kind, start, a function body's
@@ -1671,7 +1637,7 @@ mod tests {
             let at = pick(g, &starts).unwrap_or(0);
             ("comment", splice(source, at, ["/* c */ ", "// c\n"][n % 2]))
         };
-        let kind = g.next_u64() % 18;
+        let kind = g.next_u64() % 20;
         let edited = match kind {
             0 | 1 | 6 => pick(g, &bodies).map(|(_, body, _)| {
                 let (what, text) = match kind {
@@ -1780,6 +1746,21 @@ mod tests {
                     )
                 })
             }
+            // A check moved into a new helper: the helper is appended, and
+            // the body that calls it is edited.
+            17 => pick(g, &bodies).map(|(_, body, _)| {
+                let called = splice(source, body + 1, &format!(" zh{n}(0);"));
+                (
+                    "append and call",
+                    format!("{called}\nvoid zh{n}(int v) {{ if (v > {n}) {{ exit(1); }} }}\n"),
+                )
+            }),
+            18 => bodies.last().map(|&(at, _, end)| {
+                (
+                    "remove the last function",
+                    format!("{}{}", &source[..at], &source[end..]),
+                )
+            }),
             _ => (items.len() > 1).then(|| {
                 let k = (g.next_u64() % (items.len() as u64 - 1)) as usize;
                 let (a, b) = (items[k], items[k + 1]);
@@ -1891,9 +1872,9 @@ mod tests {
                             .all(|(a, b)| a.kind == b.kind && a.head == b.head),
                 );
                 steps += 1;
-                if check_step(&mut ws, name, &source, &edited, what) {
+                if let Some(item_path) = check_step(&mut ws, name, &source, &edited, what) {
                     accepted += 1;
-                    kinds.insert(what);
+                    kinds.insert((what, item_path));
                     source = edited;
                 }
             }
@@ -1902,7 +1883,15 @@ mod tests {
             assert_eq!(ws.function_clones(), 0);
         }
         assert!(steps >= 200, "{steps} steps");
-        assert!(kinds.contains("return type"), "{kinds:?}");
+        // Each on the path the rule sends it to: a call result retyped, a
+        // function id gone, and a helper appended.
+        for kind in [
+            ("return type", false),
+            ("remove the last function", false),
+            ("append and call", true),
+        ] {
+            assert!(kinds.contains(&kind), "{kind:?}: {kinds:?}");
+        }
         assert!(accepted * 2 > steps, "{accepted} of {steps} edits parsed");
         assert!(
             same_shape * 3 > steps,
@@ -1929,7 +1918,7 @@ mod tests {
             for _ in 0..16 {
                 let (what, mutated) = mutate(&mut g, base);
                 kinds.insert(what);
-                let accepted = check_step(&mut ws, name, base, &mutated, what);
+                let accepted = check_step(&mut ws, name, base, &mutated, what).is_some();
                 rejected += usize::from(!accepted);
                 // Back to the pristine source, so every mutation is one
                 // step away from a module that parses.
@@ -1939,6 +1928,21 @@ mod tests {
         }
         assert_eq!(kinds.len(), 8, "{kinds:?}");
         assert!(rejected > 50, "{rejected} mutations rejected");
+    }
+
+    /// An appended function takes the item path unless it is named like
+    /// a builtin or like another function.
+    #[test]
+    fn appended_functions_take_the_item_path_unless_their_names_collide() {
+        for (appended, item_path) in [
+            ("void helper() { sleep(nap); }", true),
+            ("int atoi(char* s) { return 0; }", false),
+            ("void napper() { }", false),
+        ] {
+            let source = format!("{BASE}{appended}\n");
+            let path = check_step(&mut ws(), "main.c", BASE, &source, appended);
+            assert_eq!(path, Some(item_path), "{appended}");
+        }
     }
 
     #[test]

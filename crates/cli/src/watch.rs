@@ -62,11 +62,7 @@ pub fn run(mut args: std::vec::IntoIter<String>) -> CliResult {
     }
 
     let mut ws = opts.workspace(None);
-    // Last-seen text per module, to decide update vs add and to avoid
-    // needless full re-inference when only a source (not its
-    // annotations) changed.
-    let mut annotations: BTreeMap<String, String> = BTreeMap::new();
-    apply(&mut ws, &mut annotations, &src, &conf, 0, format, color)?;
+    apply(&mut ws, &src, &conf, 0, format, color)?;
 
     let mut applied = take_snapshot(&src, &conf)?;
     let mut last = applied.clone();
@@ -82,15 +78,7 @@ pub fn run(mut args: std::vec::IntoIter<String>) -> CliResult {
         }
         if last != applied && last_change.elapsed() >= Duration::from_millis(debounce_ms) {
             events += 1;
-            apply(
-                &mut ws,
-                &mut annotations,
-                &src,
-                &conf,
-                events,
-                format,
-                color,
-            )?;
+            apply(&mut ws, &src, &conf, events, format, color)?;
             applied = last.clone();
             if max_events > 0 && events >= max_events {
                 return Ok(0);
@@ -101,10 +89,10 @@ pub fn run(mut args: std::vec::IntoIter<String>) -> CliResult {
 
 /// Folds the current source tree into the workspace (add / update /
 /// remove), re-analyzes, re-checks the config set, prints one event
-/// block.
+/// block. Every known module gets its source and annotations again: an
+/// unchanged one re-infers nothing.
 fn apply(
     ws: &mut Workspace,
-    annotations: &mut BTreeMap<String, String>,
     src: &[PathBuf],
     conf: &[PathBuf],
     event: usize,
@@ -114,30 +102,23 @@ fn apply(
     let sources = collect_sources(src)?;
     let current: std::collections::BTreeSet<&str> =
         sources.iter().map(|s| s.name.as_str()).collect();
-    let known: Vec<String> = annotations.keys().cloned().collect();
-    for name in known {
-        if !current.contains(name.as_str()) {
-            ws.remove_module(&name)?;
-            annotations.remove(&name);
-        }
+    let gone: Vec<String> = (ws.modules().into_iter())
+        .filter(|name| !current.contains(name))
+        .map(String::from)
+        .collect();
+    for name in gone {
+        ws.remove_module(&name)?;
     }
     let mut added = Vec::new();
     for s in &sources {
-        match annotations.get(&s.name) {
-            Some(prev) => {
-                ws.update_module(&s.name, &s.source)?;
-                if *prev != s.annotations {
-                    ws.update_annotations(&s.name, &s.annotations)?;
-                    annotations.insert(s.name.clone(), s.annotations.clone());
-                }
-            }
-            None => added.push((&s.name, &s.source, &s.annotations)),
+        if ws.module(&s.name).is_some() {
+            ws.update_module(&s.name, &s.source)?;
+            ws.update_annotations(&s.name, &s.annotations)?;
+        } else {
+            added.push((&s.name, &s.source, &s.annotations));
         }
     }
     ws.add_modules(&added)?;
-    for (name, _, text) in added {
-        annotations.insert(name.clone(), text.clone());
-    }
     let report = ws.reanalyze();
     let mut stdout = std::io::stdout().lock();
     let mut block = format!("-- event {event}\n{}", render_reanalyze(ws, &report));

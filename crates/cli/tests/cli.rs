@@ -509,29 +509,17 @@ fn daemon_answers_hostile_nesting_and_keeps_serving() {
 
 #[test]
 fn daemon_second_analyze_reinfers_only_dirty_parameters() {
-    fn jmod(name: &str, source: &str, annotations: Option<&str>) -> String {
-        let mut obj = format!(
-            "{{\"name\":{},\"source\":{}",
-            spex::check::json::quote(name),
-            spex::check::json::quote(source)
-        );
-        if let Some(a) = annotations {
-            obj.push_str(&format!(",\"annotations\":{}", spex::check::json::quote(a)));
-        }
-        obj.push('}');
-        obj
-    }
     let stream = daemon_session(
         &["--system", "demo"],
         &[
             format!(
                 "{{\"v\":1,\"id\":1,\"op\":\"analyze\",\"modules\":[{}]}}",
-                jmod("b.c", TWO_FN_C_V1, Some(TWO_FN_SPEX))
+                module_json("b.c", TWO_FN_C_V1, Some(TWO_FN_SPEX))
             ),
             "{\"v\":1,\"id\":2,\"op\":\"check\",\"configs\":[{\"name\":\"a.conf\",\"text\":\"alpha = 5\\nbeta = 8\\n\"}]}".into(),
             format!(
                 "{{\"v\":1,\"id\":3,\"op\":\"analyze\",\"modules\":[{}]}}",
-                jmod("b.c", TWO_FN_C_V2, None)
+                module_json("b.c", TWO_FN_C_V2, None)
             ),
             "{\"v\":1,\"id\":4,\"op\":\"check\",\"configs\":[{\"name\":\"a.conf\",\"text\":\"alpha = 5\\nbeta = 8\\n\"}]}".into(),
             "{\"v\":1,\"id\":5,\"op\":\"status\"}".into(),
@@ -592,6 +580,182 @@ fn daemon_second_analyze_reinfers_only_dirty_parameters() {
         total.get("params_reinferred").and_then(Json::as_f64),
         Some(3.0)
     );
+}
+
+/// One `analyze` module entry, its annotations optional.
+fn module_json(name: &str, source: &str, annotations: Option<&str>) -> String {
+    let quote = spex::check::json::quote;
+    let mut obj = format!("{{\"name\":{},\"source\":{}", quote(name), quote(source));
+    if let Some(a) = annotations {
+        obj.push_str(&format!(",\"annotations\":{}", quote(a)));
+    }
+    obj.push('}');
+    obj
+}
+
+fn analyze_request(id: usize, modules: &[String]) -> String {
+    format!(
+        "{{\"v\":1,\"id\":{id},\"op\":\"analyze\",\"modules\":[{}]}}",
+        modules.join(",")
+    )
+}
+
+/// An `analyze` that updates one module and adds three builds the
+/// database a one-shot `spex analyze` builds: `check` and `react` bodies
+/// are byte-identical.
+#[test]
+fn daemon_multi_module_analyze_equals_one_shot() {
+    let s = Scratch::new("daemon-multi");
+    let fleet = s.path("fleet");
+    let out = bin()
+        .args(["fleet-gen", "--modules", "4", "--out"])
+        .arg(&fleet)
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "fleet-gen: {}", stderr_str(&out));
+    let src = fleet.join("src");
+    let db = s.path("fleet.spexdb");
+    let out = bin()
+        .args(["analyze", "--quiet", "--system", "fleet", "--db"])
+        .arg(&db)
+        .arg(&src)
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "analyze: {}", stderr_str(&out));
+    let configs = fleet.join("configs").join("m0002");
+    let check = bin()
+        .args(["check", "--format", "jsonl", "--db"])
+        .arg(&db)
+        .arg(&configs)
+        .output()
+        .unwrap();
+    let react = bin()
+        .args(["react", "--system", "fleet", "--format", "jsonl"])
+        .arg(&src)
+        .output()
+        .unwrap();
+
+    let entries: Vec<String> = (0..4)
+        .map(|i| {
+            let path = src.join(format!("m{i:04}.c"));
+            let text = |p: &PathBuf| std::fs::read_to_string(p).unwrap();
+            let annotations = text(&path.with_extension("spex"));
+            module_json(
+                &path.display().to_string(),
+                &text(&path),
+                Some(&annotations),
+            )
+        })
+        .collect();
+    let quote = spex::check::json::quote;
+    let stream = daemon_session(
+        &["--system", "fleet"],
+        &[
+            analyze_request(1, &entries[1..2]),
+            analyze_request(2, &entries),
+            format!(
+                "{{\"v\":1,\"id\":3,\"op\":\"check\",\"paths\":[{}]}}",
+                quote(configs.to_str().unwrap())
+            ),
+            "{\"v\":1,\"id\":4,\"op\":\"react\"}".into(),
+        ],
+    );
+    let replies = split_replies(&stream);
+    assert_eq!(replies.len(), 4);
+    assert_eq!(replies[1].0.get("ok"), Some(&Json::Bool(true)));
+    assert_eq!(
+        replies[1].0.get("modules_analyzed").and_then(Json::as_f64),
+        Some(3.0),
+        "the re-sent module is unchanged"
+    );
+    assert_eq!(replies[2].1, stdout_str(&check), "check bodies differ");
+    assert_eq!(replies[3].1, stdout_str(&react), "react bodies differ");
+}
+
+/// Every entry is checked before any is applied, so a repeated name
+/// changes nothing; new modules join in one batch and stop at the first
+/// that fails, whose error is the reply.
+#[test]
+fn daemon_analyze_reports_the_failing_module() {
+    let good = |name: &str| module_json(name, TWO_FN_C_V1, Some(TWO_FN_SPEX));
+    let stream = daemon_session(
+        &["--system", "demo"],
+        &[
+            analyze_request(1, &[good("a.c"), good("b.c"), good("a.c")]),
+            "{\"v\":1,\"id\":2,\"op\":\"status\"}".into(),
+            analyze_request(
+                2,
+                &[
+                    good("a.c"),
+                    module_json("bad.c", "int = ;", None),
+                    good("c.c"),
+                ],
+            ),
+            "{\"v\":1,\"id\":3,\"op\":\"status\"}".into(),
+        ],
+    );
+    let replies = split_replies(&stream);
+    let error = |i: usize| replies[i].0.get("error").and_then(Json::as_str).unwrap();
+    let modules = |i: usize| replies[i].0.get("modules").and_then(Json::as_f64);
+    assert!(error(0).contains("\"a.c\" given twice"), "{}", error(0));
+    assert_eq!(modules(1), Some(0.0), "nothing applied");
+    assert!(error(2).starts_with("module \"bad.c\": "), "{}", error(2));
+    assert_eq!(modules(3), Some(1.0), "`a.c` joined before `bad.c` failed");
+}
+
+/// Annotations re-sent with other spacing parse to the stored ones and
+/// re-infer nothing; a changed annotation re-infers the module.
+#[test]
+fn daemon_resent_annotations_reinfer_only_when_changed() {
+    let respaced = TWO_FN_SPEX.replace("@PAR = ", "@PAR =  ");
+    let changed = format!("{TWO_FN_SPEX}\n{{ @GETTER = get_i32\n  @PAR = 1\n  @VAR = $RET }}");
+    let stream = daemon_session(
+        &["--system", "demo"],
+        &[
+            analyze_request(1, &[module_json("b.c", TWO_FN_C_V1, Some(TWO_FN_SPEX))]),
+            analyze_request(2, &[module_json("b.c", TWO_FN_C_V1, Some(&respaced))]),
+            analyze_request(3, &[module_json("b.c", TWO_FN_C_V1, Some(&changed))]),
+        ],
+    );
+    let reinferred: Vec<Option<f64>> = split_replies(&stream)
+        .iter()
+        .map(|(h, _)| h.get("params_reinferred").and_then(Json::as_f64))
+        .collect();
+    assert_eq!(reinferred, [Some(2.0), Some(0.0), Some(2.0)]);
+}
+
+/// A request line longer than the daemon's bound draws an error reply
+/// without being buffered whole, and the next request is served.
+#[test]
+fn daemon_rejects_an_overlong_line_and_keeps_serving() {
+    let mut child = bin()
+        .args(["daemon", "--stdio", "--system", "demo"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .unwrap();
+    let mut stdin = child.stdin.take().unwrap();
+    // A valid `status` request padded past 64 MiB.
+    stdin
+        .write_all(b"{\"v\":1,\"id\":1,\"op\":\"status\",\"pad\":\"")
+        .unwrap();
+    let chunk = vec![b'x'; 1 << 20];
+    for _ in 0..65 {
+        stdin.write_all(&chunk).unwrap();
+    }
+    stdin
+        .write_all(b"\"}\n{\"v\":1,\"id\":2,\"op\":\"status\"}\n")
+        .unwrap();
+    drop(stdin);
+    let out = child.wait_with_output().unwrap();
+    assert!(out.status.success(), "daemon exited with {}", out.status);
+    let replies = split_replies(stdout_str(&out));
+    let ok: Vec<_> = replies.iter().map(|(h, _)| h.get("ok")).collect();
+    assert_eq!(ok, [Some(&Json::Bool(false)), Some(&Json::Bool(true))]);
+    let error = replies[0].0.get("error").and_then(Json::as_str).unwrap();
+    assert!(error.contains("longer than"), "{error}");
+    assert_eq!(replies[1].0.get("id").and_then(Json::as_f64), Some(2.0));
 }
 
 #[test]

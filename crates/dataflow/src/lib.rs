@@ -103,19 +103,15 @@ impl AnalyzedModule {
     /// generation, reusing the SSA body, CFG, dominator tree and use-def
     /// chains of every function for which `dirty(name)` is false.
     ///
-    /// Reuse is only sound when the unchanged functions are *identical*
-    /// (same lowered IR) **and** every id they embed still resolves to the
-    /// same entity. The caller guarantees the former (it names every
-    /// function whose item key changed); this method verifies the latter
-    /// and falls back to a full [`build_ref`](AnalyzedModule::build_ref)
-    /// when it cannot:
-    ///
-    /// * the previous function table must be a prefix of the new one
-    ///   (same names in the same order; additions only at the end), so
-    ///   every embedded [`spex_ir::FuncId`] is stable;
-    /// * globals, structs and enum constants must be unchanged (the caller
-    ///   invalidates wholesale on header changes), so every
-    ///   [`spex_ir::GlobalId`] is stable.
+    /// The caller guarantees that this reuse is sound: every function that
+    /// is not dirty lowers to the same IR (it names every function whose
+    /// item key changed), and every id such a function embeds still
+    /// resolves to the same entity. That is, the previous function table is
+    /// a prefix of the new one (same names in the same order, additions
+    /// only at the end), so every [`spex_ir::FuncId`] is stable; and the
+    /// globals, structs and enum constants are unchanged, so every
+    /// [`spex_ir::GlobalId`] is. The core checks the ids before it calls
+    /// this (`ids_stable`); debug builds assert the function prefix again.
     ///
     /// The call graph is always rebuilt — it is whole-module and cheap
     /// relative to SSA promotion.
@@ -124,16 +120,11 @@ impl AnalyzedModule {
         module: &Module,
         dirty: &dyn Fn(&str) -> bool,
     ) -> AnalyzedModule {
-        let prefix_compatible = prev.module.functions.len() <= module.functions.len()
-            && prev
-                .module
-                .functions
-                .iter()
-                .zip(&module.functions)
-                .all(|(a, b)| a.name == b.name);
-        if !prefix_compatible {
-            return AnalyzedModule::build_ref(module);
-        }
+        let (old, new) = (&prev.module.functions, &module.functions);
+        debug_assert!(
+            (old.iter().map(|f| &f.name)).eq(new.iter().take(old.len()).map(|f| &f.name)),
+            "the previous function table must be a prefix of the new one"
+        );
         AnalyzedModule::rebuild_inner(Some(prev), module, dirty)
     }
 

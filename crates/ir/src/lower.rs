@@ -73,14 +73,18 @@ pub struct LowerCtx<'m> {
 
 impl<'m> LowerCtx<'m> {
     /// The context of an already lowered module, to lower an item of a
-    /// new generation of it whose globals, functions and types are the
-    /// same, in the same order.
-    pub fn of_module(module: &'m Module) -> LowerCtx<'m> {
+    /// new generation of it whose globals, types and functions are the
+    /// same, in the same order, but for the `appended` functions (name and
+    /// return type), which follow the last one.
+    pub fn of_module(
+        module: &'m Module,
+        appended: impl Iterator<Item = (&'m str, &'m CType)>,
+    ) -> LowerCtx<'m> {
         LowerCtx::new(
             &module.structs,
             &module.enum_consts,
             module.globals.iter().map(|g| (g.name.as_str(), &g.ty)),
-            module.functions.iter().map(|f| (f.name.as_str(), &f.ret)),
+            (module.functions.iter().map(|f| (f.name.as_str(), &f.ret))).chain(appended),
         )
     }
 

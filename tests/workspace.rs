@@ -5,6 +5,7 @@
 use spex::check::ConstraintDb;
 use spex::conf::Dialect;
 use spex::Workspace;
+use std::sync::Arc;
 
 const ANN: &str = "{ @STRUCT = options\n @PAR = [opt, 1]\n @VAR = [opt, 2] }";
 
@@ -1082,4 +1083,68 @@ fn a_return_type_edit_relowers_the_callers() {
         }
     "#;
     assert_warm_equals_fresh(WIDEN, &WIDEN.replace("long widen", "int widen"), ANN);
+}
+
+// Edits at the edge of the item path: an appended function takes it, and
+// a removed or renamed function leaves it. Either way the warm db equals a
+// fresh one.
+
+/// The benchmark's `move_check` edit: a range check leaves `startup` for
+/// an appended helper. Only `startup` and the helper are lowered; every
+/// other function keeps its allocation.
+#[test]
+fn a_check_moved_into_an_appended_helper_takes_the_item_path() {
+    let moved = BASE.replace("if (threads > 16) { exit(1); }", "chk_threads(threads);")
+        + "    void chk_threads(int v) { if (v > 16) { exit(1); } }\n";
+    let mut ws = workspace_over(BASE);
+    ws.reanalyze();
+    let before = ws.module("main.c").unwrap().functions.clone();
+    let diff = ws.update_module("main.c", &moved).unwrap();
+    assert_eq!(diff.changed, vec!["startup".to_string()]);
+    assert_eq!(diff.added, vec!["chk_threads".to_string()]);
+    assert!(diff.removed.is_empty());
+    let after = &ws.module("main.c").unwrap().functions;
+    let kept: Vec<bool> = (before.iter().zip(after.iter()))
+        .map(|(a, b)| Arc::ptr_eq(a, b))
+        .collect();
+    assert_eq!(kept, [false, true], "only `startup` is lowered again");
+    assert_warm_equals_fresh(BASE, &moved, ANN);
+}
+
+#[test]
+fn removing_the_last_function_equals_a_fresh_analysis() {
+    assert_warm_equals_fresh(
+        BASE,
+        &BASE.replace("void napper() { sleep(nap); }", ""),
+        ANN,
+    );
+}
+
+#[test]
+fn renaming_a_function_in_place_equals_a_fresh_analysis() {
+    assert_warm_equals_fresh(BASE, &BASE.replace("void napper()", "void sleeper()"), ANN);
+}
+
+/// A parameter's type changes and the return type stays: the item path
+/// lowers the callee alone, and its caller keeps its allocation.
+#[test]
+fn a_signature_edit_that_keeps_the_return_type_takes_the_item_path() {
+    const SIG: &str = r#"
+        int nap = 30;
+        struct opt { char* name; int* var; };
+        struct opt options[] = { { "nap", &nap } };
+        void nap_for(int s) { if (s > 600) { exit(1); } sleep(s); }
+        void napper() { nap_for(nap); }
+    "#;
+    let widened = SIG.replace("nap_for(int s)", "nap_for(long s)");
+    let mut ws = workspace_over(SIG);
+    ws.reanalyze();
+    let before = ws.module("main.c").unwrap().functions.clone();
+    let diff = ws.update_module("main.c", &widened).unwrap();
+    assert_eq!(diff.changed, vec!["nap_for".to_string()]);
+    assert!(Arc::ptr_eq(
+        &before[1],
+        &ws.module("main.c").unwrap().functions[1]
+    ));
+    assert_warm_equals_fresh(SIG, &widened, ANN);
 }
