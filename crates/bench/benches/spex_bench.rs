@@ -452,13 +452,24 @@ fn bench_workspace(r: &Runner) {
         }
     }
 
-    // Storage-A (239 KB, 1,199 items), generated once for the three
-    // `update_storage_a` rows, and how many of an earlier generation's
-    // functions its module still shares.
+    // Storage-A (239 KB, 1,199 items), generated once for the four
+    // `*_storage_a` rows; its source with two one-line `test_smoke` bodies;
+    // and how many of an earlier generation's functions its module still
+    // shares.
     let storage_a = std::cell::OnceCell::new();
     let storage_a = || {
         let spec = spex_systems::system_by_name("Storage-A").unwrap();
         storage_a.get_or_init(|| spex_systems::generate(&spec))
+    };
+    let smoke_variants = |gen: &spex_systems::GenOutput| {
+        let smoke = "int test_smoke() { return 0; }";
+        assert_eq!(gen.source.matches(smoke).count(), 1);
+        [1, 2].map(|pad| {
+            gen.source.replace(
+                smoke,
+                &format!("int test_smoke() {{ int pad = {pad}; return 0; }}"),
+            )
+        })
     };
     let kept = |before: &[std::sync::Arc<spex_ir::Function>], ws: &Workspace| {
         let after = &ws.module("gen.c").unwrap().functions;
@@ -472,14 +483,7 @@ fn bench_workspace(r: &Runner) {
     // `test_smoke` alone, and every other function keeps its allocation.
     if r.selected("workspace/update_storage_a") {
         let gen = storage_a();
-        let smoke = "int test_smoke() { return 0; }";
-        assert_eq!(gen.source.matches(smoke).count(), 1);
-        let variants = [1, 2].map(|pad| {
-            gen.source.replace(
-                smoke,
-                &format!("int test_smoke() {{ int pad = {pad}; return 0; }}"),
-            )
-        });
+        let variants = smoke_variants(gen);
         let mut ws = Workspace::new("Storage-A", gen.dialect);
         ws.add_module("gen.c", &variants[1], &gen.annotations)
             .unwrap();
@@ -502,6 +506,41 @@ fn bench_workspace(r: &Runner) {
             flip.set(flip.get() + 1);
             black_box(ws.borrow_mut().update_module("gen.c", source).unwrap())
         });
+    }
+
+    // A warm `reanalyze` after an edit no parameter's flow reaches: the
+    // one-line `test_smoke` edit above is setup, and only `reanalyze` is
+    // timed. The self-check asserts it re-infers nothing, reuses every
+    // reaction verdict and leaves the db as it was.
+    if r.selected("workspace/reanalyze_storage_a") {
+        let gen = storage_a();
+        let variants = smoke_variants(gen);
+        let mut ws = Workspace::new("Storage-A", gen.dialect);
+        ws.add_module("gen.c", &variants[1], &gen.annotations)
+            .unwrap();
+        ws.reanalyze();
+        let db = ws.db().save_to_string();
+        ws.update_module("gen.c", &variants[0]).unwrap();
+        let warm = ws.reanalyze();
+        assert_eq!(warm.params_reinferred, 0, "no flow reaches test_smoke");
+        assert_eq!(warm.passes.react_cache_hits, warm.params_total);
+        assert_eq!(ws.db().save_to_string(), db, "the db is unchanged");
+        println!(
+            "workspace/reanalyze_storage_a self-check: OK (0 of {} parameters re-inferred, {} \
+             verdicts reused, db unchanged)",
+            warm.params_total, warm.passes.react_cache_hits
+        );
+        let ws = std::cell::RefCell::new(ws);
+        let flip = std::cell::Cell::new(1usize);
+        r.bench_with_setup(
+            "workspace/reanalyze_storage_a",
+            || {
+                let source = &variants[flip.get() % 2];
+                flip.set(flip.get() + 1);
+                ws.borrow_mut().update_module("gen.c", source).unwrap();
+            },
+            |()| black_box(ws.borrow_mut().reanalyze()),
+        );
     }
 
     // The whole-module path, always cold: `update_module` alone, toggling

@@ -54,7 +54,7 @@
 //! assert_eq!(ws.reanalyze().params_reinferred, 0);
 //! ```
 
-use crate::db::{ConstraintDb, MergeError, MergeReport};
+use crate::db::ConstraintDb;
 use crate::diag::{Diagnostic, Severity};
 use crate::env::{Environment, FsEnv};
 use crate::report::{FileReport, Report};
@@ -120,12 +120,10 @@ struct SourceModule {
     items: Option<Box<[ItemKey]>>,
     /// What changed since the last analysis.
     dirty: Dirty,
-    /// From the last analysis: the parameters it mapped (used to
-    /// garbage-collect parameters that un-mapped).
-    touched: BTreeSet<String>,
-    /// From the last analysis: each parameter's static reaction verdict.
-    /// Stale slices keep their cached finding; only dirty-slice
-    /// parameters are re-classified.
+    /// From the last analysis: the static reaction verdict of each
+    /// parameter it mapped, and so the module's one record of which
+    /// parameters it maps (see [`Workspace::reanalyze`]). Stale slices
+    /// keep their verdict; only re-inferred parameters are re-classified.
     reactions: BTreeMap<String, ReactionFinding>,
 }
 
@@ -310,23 +308,14 @@ fn parse_item(tokens: &[Token<'_>], item: &ItemSpan) -> Option<Item> {
     (parser.pos() == item.end).then_some(parsed)
 }
 
-/// Moves one module's share of the mapping counts from the parameters its
-/// `old` analysis mapped to those its `new` one maps; a count that drops
-/// to zero is removed, so `mapped` holds exactly the mapped parameters.
-fn recount_mapped(
-    mapped: &mut HashMap<String, usize>,
-    old: &BTreeSet<String>,
-    new: &BTreeSet<String>,
-) {
-    for param in new {
-        *mapped.entry(param.clone()).or_default() += 1;
-    }
-    for param in old {
-        let count = mapped.get_mut(param).expect("counted when mapped");
-        *count -= 1;
-        if *count == 0 {
-            mapped.remove(param);
-        }
+/// Takes one module's share of `param`'s mapping count away; a count that
+/// drops to zero is removed, so `mapped` holds exactly the mapped
+/// parameters.
+fn unmap(mapped: &mut HashMap<String, usize>, param: &str) {
+    let count = mapped.get_mut(param).expect("counted when mapped");
+    *count -= 1;
+    if *count == 0 {
+        mapped.remove(param);
     }
 }
 
@@ -418,8 +407,8 @@ pub struct Workspace {
     /// Parameter names declared legal without inference (option tables
     /// parsed elsewhere, documentation imports, ...).
     noted: BTreeSet<String>,
-    /// Parameter → how many modules' last analysis mapped it (holds the
-    /// parameter in their `touched`), so the orphan test is one lookup.
+    /// Parameter → how many modules' last analysis mapped it (holds a
+    /// verdict for it), so the orphan test is one lookup.
     mapped: HashMap<String, usize>,
     db: ConstraintDb,
     /// The telemetry sink, when observability is enabled — see
@@ -544,14 +533,6 @@ impl Workspace {
         }
     }
 
-    /// Merges another database for the same system into the owned one
-    /// (databases analyzed elsewhere, say one per module subset, fold in
-    /// here). Conflicts resolve exactly as in [`ConstraintDb::merge`]; the
-    /// next check sees the merged constraints.
-    pub fn merge_db(&mut self, other: &ConstraintDb) -> Result<MergeReport, MergeError> {
-        self.db.merge(other)
-    }
-
     /// Names of every module the workspace owns, sorted.
     pub fn modules(&self) -> Vec<&str> {
         self.modules.keys().map(String::as_str).collect()
@@ -594,7 +575,6 @@ impl Workspace {
             cache: PassCache::default(),
             anns,
             dirty: Dirty::All,
-            touched: BTreeSet::new(),
             reactions: BTreeMap::new(),
         })
     }
@@ -733,7 +713,7 @@ impl Workspace {
     }
 
     /// Removes a module and garbage-collects its contribution to the
-    /// database — both what this session's analyses touched and what a
+    /// database — both the parameters its last analysis mapped and what a
     /// seeded database credits to the module's provenance (the
     /// [`from_db`](Workspace::from_db) resume case, where the module may
     /// never have been re-analyzed).
@@ -742,8 +722,10 @@ impl Workspace {
             .modules
             .remove(name)
             .ok_or_else(|| WorkspaceError::UnknownModule(name.to_string()))?;
-        recount_mapped(&mut self.mapped, &entry.touched, &BTreeSet::new());
-        let mut params = entry.touched;
+        let mut params: BTreeSet<String> = entry.reactions.into_keys().collect();
+        for param in &params {
+            unmap(&mut self.mapped, param);
+        }
         params.extend(self.db.params_from_source(name));
         for param in &params {
             self.db.remove_source_param(name, param);
@@ -770,13 +752,16 @@ impl Workspace {
     /// into the database. Work is proportional to the change, at two
     /// granularities: parameters the edit cannot affect (the core's
     /// parameter-scope rule, see [`Spex::analyze_scoped`]) keep their
-    /// persisted constraints untouched and their inference passes do not
-    /// run, and the expensive intermediate artifacts — SSA preparation,
-    /// mapping extraction, per-parameter taint slices — are served from
-    /// the module's [`PassCache`] whenever the edit provably cannot affect
-    /// them (see [`ReanalyzeReport::passes`] for both the pass and the
-    /// cache accounting). The stored module is shared into the analysis and
-    /// never deep-cloned ([`Workspace::module_clones`] stays flat).
+    /// persisted constraints and reaction verdicts untouched and their
+    /// inference passes do not run, and the expensive intermediate
+    /// artifacts — SSA preparation, mapping extraction, per-parameter taint
+    /// slices — are served from the module's [`PassCache`] whenever the
+    /// edit provably cannot affect them (see [`ReanalyzeReport::passes`]
+    /// for both the pass and the cache accounting). The fold writes only
+    /// the difference: the re-inferred parameters' constraints and the
+    /// parameters a module no longer maps. The stored module is shared into
+    /// the analysis and never deep-cloned ([`Workspace::module_clones`]
+    /// stays flat).
     pub fn reanalyze(&mut self) -> ReanalyzeReport {
         let _telemetry = self.telemetry.as_ref().map(spex_obs::install);
         let _span = spex_obs::span("workspace.reanalyze");
@@ -785,15 +770,14 @@ impl Workspace {
         /// One dirty module's analysis input, detached from the workspace
         /// borrow: the module is `Arc`-shared (no function body is copied
         /// — the zero-copy invariant `function_clones` tracks), the pass
-        /// cache and the reaction verdicts are taken out of the entry and
-        /// handed back after the run.
+        /// cache and the reaction verdicts are taken out of the entry,
+        /// updated in place and handed back after the run.
         struct Job {
             name: String,
             module: Arc<Module>,
             anns: Vec<Annotation>,
             cache: Mutex<PassCache>,
-            /// The last analysis's reaction verdicts, reused for stale
-            /// slices.
+            /// The module's reaction verdicts, one per mapped parameter.
             reactions: Mutex<BTreeMap<String, ReactionFinding>>,
             /// The changed functions, or `None` when everything changed.
             dirty: Option<BTreeSet<String>>,
@@ -804,10 +788,14 @@ impl Workspace {
         /// worker.
         struct Analyzed {
             passes: PassCounts,
-            /// Every mapped parameter, with its fresh constraints or
-            /// `None` when the scope rule left it stale.
-            params: Vec<(String, Option<Vec<Constraint>>)>,
-            reactions: BTreeMap<String, ReactionFinding>,
+            /// How many parameters the module maps.
+            params: usize,
+            /// Each re-inferred parameter with its fresh constraints,
+            /// flagged when the module's last analysis did not map it.
+            fresh: Vec<(String, Vec<Constraint>, bool)>,
+            /// The parameters the last analysis mapped and this one does
+            /// not.
+            dropped: Vec<String>,
         }
 
         // Phase 1 (serial, module-name order): snapshot every dirty
@@ -832,12 +820,13 @@ impl Workspace {
         report.modules_analyzed = jobs.len();
 
         // Phase 2: analyze, then classify the reaction path of every
-        // re-inferred slice (a stale slice keeps its cached verdict). With
-        // several dirty modules the pool fans out at module granularity
-        // and each job runs its parameter passes inline (nesting pools
-        // would oversubscribe); with a single dirty module the
-        // parameter-level fan-out inside the core gets all the threads.
-        // Routing on the workload keeps telemetry thread-count-independent.
+        // re-inferred parameter in place (a stale one keeps its verdict).
+        // With several dirty modules the pool fans out at module
+        // granularity and each job runs its parameter passes inline
+        // (nesting pools would oversubscribe); with a single dirty module
+        // the parameter-level fan-out inside the core gets all the
+        // threads. Routing on the workload keeps telemetry
+        // thread-count-independent.
         let spec = &self.spec;
         let analyze_job = |job: &Job, threads: usize| {
             let _module_span = spex_obs::span!("workspace.module", module = job.name);
@@ -847,37 +836,46 @@ impl Workspace {
                 dirty: job.dirty.as_ref(),
                 threads,
             };
-            let analysis =
+            let mut analysis =
                 Spex::analyze_scoped(&job.module, &job.anns, spec.clone(), Some(incremental));
-            let mut old = std::mem::take(&mut *job.reactions.lock().expect("job reactions lock"));
+            let mut reactions = job.reactions.lock().expect("job reactions lock");
             let mut passes = PassCounts::default();
-            let mut reactions = BTreeMap::new();
-            for r in &analysis.reports {
-                let finding = if r.stale {
-                    let Some(f) = old.remove(&r.param.name) else {
-                        continue;
-                    };
+            let mut fresh = Vec::new();
+            for r in &mut analysis.reports {
+                if r.stale {
+                    // A stale report's slice is the cached one, so the last
+                    // analysis mapped the parameter and classified it.
+                    debug_assert!(reactions.contains_key(&r.param.name), "{}", r.param.name);
                     passes.react_cache_hits += 1;
-                    f
-                } else {
-                    passes.react_runs += 1;
-                    spex_react::classify_with_summaries(&analysis.am, &analysis.summaries, r)
-                };
-                reactions.insert(r.param.name.clone(), finding);
+                    continue;
+                }
+                passes.react_runs += 1;
+                let finding =
+                    spex_react::classify_with_summaries(&analysis.am, &analysis.summaries, r);
+                let new = reactions.insert(r.param.name.clone(), finding).is_none();
+                let constraints = std::mem::take(&mut r.constraints);
+                fresh.push((r.param.name.clone(), constraints, new));
+            }
+            // Mapped names are distinct and each now holds a verdict, so
+            // the map holds more than the reports exactly when a parameter
+            // is no longer mapped.
+            let params = analysis.reports.len();
+            let mut dropped = Vec::new();
+            if reactions.len() > params {
+                let names = analysis.reports.iter().map(|r| r.param.name.as_str());
+                let mapped: HashSet<&str> = names.collect();
+                let gone = reactions.extract_if(.., |p, _| !mapped.contains(p.as_str()));
+                dropped.extend(gone.map(|(p, _)| p));
             }
             // The core published its own counts; the reaction counts are
             // the only ones it could not see.
             passes.record_metrics();
             passes.accumulate(&analysis.passes);
-            let params = analysis
-                .reports
-                .into_iter()
-                .map(|r| (r.param.name, (!r.stale).then_some(r.constraints)))
-                .collect();
             Analyzed {
                 passes,
                 params,
-                reactions,
+                fresh,
+                dropped,
             }
         };
         let analyses: Vec<Analyzed> = if jobs.len() > 1 {
@@ -888,45 +886,42 @@ impl Workspace {
             jobs.iter().map(|j| analyze_job(j, self.threads)).collect()
         };
 
-        // Phase 3 (serial, same order): fold every result into the
+        // Phase 3 (serial, same order): fold every difference into the
         // database. The fold order is what makes the persisted constraints
         // byte-identical to the serial run at any thread count; the pass
         // counters are commutative sums, so they match too.
+        let _fold_span = spex_obs::span("workspace.fold");
         for (job, analyzed) in jobs.into_iter().zip(analyses) {
             let name = job.name;
             let entry = self.modules.get_mut(&name).expect("still present");
             entry.cache = job.cache.into_inner().expect("job cache lock");
-            entry.reactions = analyzed.reactions;
+            entry.reactions = job.reactions.into_inner().expect("job reactions lock");
             report.passes.accumulate(&analyzed.passes);
-            report.params_total += analyzed.params.len();
-
-            let mut touched: BTreeSet<String> = BTreeSet::new();
-            for (param, fresh) in analyzed.params {
-                self.db.note_param(&param);
-                if let Some(constraints) = fresh {
-                    report.params_reinferred += 1;
-                    let (removed, added) = self.db.replace_source_param(&name, &param, constraints);
-                    report.constraints_removed += removed;
-                    report.constraints_added += added;
+            report.params_total += analyzed.params;
+            report.params_reinferred += analyzed.fresh.len();
+            for (param, constraints, new) in analyzed.fresh {
+                let (removed, added) = self.db.replace_source_param(&name, &param, constraints);
+                report.constraints_removed += removed;
+                report.constraints_added += added;
+                if new {
+                    *self.mapped.entry(param).or_default() += 1;
                 }
-                touched.insert(param);
             }
 
-            // Garbage-collect parameters this module no longer maps.
-            // "Previously owned" is the union of what the last in-session
-            // analysis mapped and what the database credits to this
-            // module — the latter matters when resuming from a persisted
-            // db, where `touched` starts empty but stale provenance-tagged
-            // constraints may exist.
-            let gone: Vec<String> = entry
-                .touched
-                .iter()
-                .cloned()
-                .chain(self.db.params_from_source(&name))
-                .filter(|p| !touched.contains(p))
-                .collect();
-            recount_mapped(&mut self.mapped, &entry.touched, &touched);
-            entry.touched = touched;
+            // Garbage-collect the parameters this module no longer maps:
+            // those its verdicts dropped, and on a cold run also those the
+            // database credits to the module. The latter matters when
+            // resuming from a persisted db, where the verdicts start empty
+            // but provenance-tagged constraints may exist; after a
+            // module's first analysis only its own folds credit it.
+            let mut gone = analyzed.dropped;
+            for param in &gone {
+                unmap(&mut self.mapped, param);
+            }
+            if job.dirty.is_none() {
+                let credited = self.db.params_from_source(&name).into_iter();
+                gone.extend(credited.filter(|p| !entry.reactions.contains_key(p)));
+            }
             for param in gone {
                 report.constraints_removed += self.db.remove_source_param(&name, &param);
                 self.drop_param_if_orphaned(&param);

@@ -266,11 +266,11 @@ struct CacheState {
     /// The previous generation's prepared module. Its call graph holds
     /// the call edges an edit may have removed.
     am: Arc<AnalyzedModule>,
-    /// Fingerprint of the annotations the artifacts were extracted under.
-    ann_fp: u64,
-    /// Cached per-annotation extraction results, aligned with the
-    /// annotation set the fingerprint covers (`Err` is cached too, so a
-    /// failing annotation is not re-extracted every warm run).
+    /// The annotations the artifacts were extracted under.
+    anns: Vec<Annotation>,
+    /// Cached per-annotation extraction results, aligned with `anns`
+    /// (`Err` is cached too, so a failing annotation is not re-extracted
+    /// every warm run).
     ann_mappings: Vec<Arc<Result<Vec<MappedParam>, MappingError>>>,
     /// Cached per-function interprocedural summaries.
     summaries: Arc<ModuleSummaries>,
@@ -412,12 +412,6 @@ fn cache_slice(am: &AnalyzedModule, roots: &[TaintRoot], taint: &Arc<TaintResult
     }
 }
 
-/// Deterministic fingerprint of an annotation set (defensive cache key:
-/// callers are expected to clear the cache on annotation changes anyway).
-fn ann_fingerprint(anns: &[Annotation]) -> u64 {
-    crate::fingerprint::fnv1a(format!("{anns:?}").as_bytes())
-}
-
 /// Whether the cached generation's id space is compatible with `module`:
 /// same globals (name and order) and the old function table a prefix of
 /// the new one, so every `FuncId`/`GlobalId` embedded in cached artifacts
@@ -512,13 +506,12 @@ impl Spex {
             threads: 1,
         });
         let mut passes = PassCounts::default();
-        let ann_fp = ann_fingerprint(anns);
 
         // Reuse the previous generation's per-function state when the
         // caller names the edit and the id space is compatible; otherwise
         // drop it now and run cold.
         let old = cache.state.take().filter(|state| {
-            dirty.is_some() && state.ann_fp == ann_fp && ids_stable(&state.am.module, module)
+            dirty.is_some() && state.anns == anns && ids_stable(&state.am.module, module)
         });
         let prev = old.as_ref().zip(dirty);
         let am = Arc::new(match prev {
@@ -665,53 +658,43 @@ impl Spex {
                     &slice_hit,
                 ));
                 let mut closed = seeds.clone();
-                closed.extend(
-                    expand_dirty_functions(&state.am, &seeds)
-                        .into_iter()
-                        .map(|fid| state.am.module.func(fid).name.clone()),
-                );
+                closed.extend(expand_dirty_functions(&state.am, &seeds));
                 let reached = expand_dirty_functions(&am, &closed);
-                taints
+                // A reused slice is the cached one, touching what it did.
+                params
                     .iter()
                     .zip(&slice_hit)
-                    .map(|(t, &hit)| {
-                        !hit || t.touched_functions().iter().any(|f| reached.contains(f))
-                    })
+                    .map(|(p, &hit)| !hit || !state.slices[&p.name].touched.is_disjoint(&reached))
                     .collect()
             }
         };
 
-        // Refill the cache for the next generation. A hit slice keeps its
-        // bookkeeping entry as-is — its touched functions are unchanged by
-        // construction, so re-deriving the summaries would walk the same
-        // instructions to the same answer; only recomputed slices are
-        // (re)summarized.
-        let mut old_slices = old.map(|s| s.slices).unwrap_or_default();
+        // Refill the cache for the next generation, in place. A hit slice
+        // keeps its bookkeeping entry as-is — its touched functions are
+        // unchanged by construction, so re-deriving the summaries would
+        // walk the same instructions to the same answer; only recomputed
+        // slices are (re)summarized. Mapped names are distinct, so the map
+        // holds more entries than there are parameters exactly when some
+        // parameter is no longer mapped.
+        let (anns, mut slices) = match old {
+            Some(state) => (state.anns, state.slices),
+            None => (anns.to_vec(), HashMap::new()),
+        };
+        let recomputed_slices = params.iter().zip(&taints).zip(&slice_hit);
+        for ((p, t), _) in recomputed_slices.filter(|(_, hit)| !**hit) {
+            slices.insert(p.name.clone(), cache_slice(&am, &p.roots, t));
+        }
+        if slices.len() > params.len() {
+            let mapped: HashSet<&str> = params.iter().map(|p| p.name.as_str()).collect();
+            slices.retain(|name, _| mapped.contains(name.as_str()));
+        }
         cache.state = Some(CacheState {
             am: Arc::clone(&am),
-            ann_fp,
+            anns,
             ann_mappings,
             summaries: Arc::clone(&summaries),
-            slices: params
-                .iter()
-                .zip(&taints)
-                .zip(&slice_hit)
-                .map(|((p, t), &hit)| {
-                    let entry = if hit {
-                        old_slices
-                            .remove(&p.name)
-                            .expect("a cache hit implies a cached slice")
-                    } else {
-                        cache_slice(&am, &p.roots, t)
-                    };
-                    (p.name.clone(), entry)
-                })
-                .collect(),
+            slices,
         });
-
-        // Reverse index: tainted value -> parameter indices, for the
-        // multi-parameter passes.
-        let vindex = build_value_index(&taints);
 
         // First pass group: the three per-parameter passes plus evidence
         // collection are embarrassingly parallel — each job reads the
@@ -774,6 +757,8 @@ impl Spex {
         // attributed to the dependent / left-hand parameter, and under a
         // scope only in-scope parameters receive fresh attributions.
         if in_scope.iter().any(|live| *live) {
+            // Reverse index: tainted value -> parameter indices.
+            let vindex = build_value_index(&taints);
             let names: Vec<String> = reports.iter().map(|r| r.param.name.clone()).collect();
             passes.control_dep += 1;
             let cd_span = spex_obs::span("infer.control_dep");
@@ -883,15 +868,13 @@ fn changed_by_recomputation(
         .collect()
 }
 
-/// Closes a set of dirty function names over the call graph: dirty
-/// functions plus every transitive *callee* of one. Editing a caller can
-/// change the guards its callees inherit (the control-dependency pass
-/// propagates branch conditions caller → callee), so a parameter used only
-/// inside a callee still needs re-inference when the caller changes.
-fn expand_dirty_functions(
-    am: &AnalyzedModule,
-    names: &BTreeSet<String>,
-) -> std::collections::HashSet<FuncId> {
+/// Closes a set of dirty function names over the call graph: the names of
+/// the dirty functions `am` has plus every transitive *callee* of one.
+/// Editing a caller can change the guards its callees inherit (the
+/// control-dependency pass propagates branch conditions caller → callee),
+/// so a parameter used only inside a callee still needs re-inference when
+/// the caller changes.
+fn expand_dirty_functions(am: &AnalyzedModule, names: &BTreeSet<String>) -> BTreeSet<String> {
     // Caller → callees adjacency (the call graph stores the reverse).
     let mut callees_of: HashMap<FuncId, Vec<FuncId>> = HashMap::new();
     for (callee, sites) in &am.callgraph.callers_of {
@@ -899,7 +882,7 @@ fn expand_dirty_functions(
             callees_of.entry(site.caller).or_default().push(*callee);
         }
     }
-    let mut dirty: std::collections::HashSet<FuncId> = am
+    let mut dirty: HashSet<FuncId> = am
         .module
         .functions
         .iter()
@@ -916,6 +899,9 @@ fn expand_dirty_functions(
         }
     }
     dirty
+        .into_iter()
+        .map(|f| am.module.func(f).name.clone())
+        .collect()
 }
 
 /// Maps every tainted SSA value to the parameters whose flow reaches it.

@@ -62,13 +62,14 @@
 //! // ws.update_module("config.c", edited)?; ws.reanalyze();
 //! ```
 //!
-//! Checking runs on a **borrowed** [`CheckSession`] the workspace caches
-//! across calls (no database copies; invalidated automatically when
-//! `reanalyze`/`merge_db` change constraints). Every finding carries a
-//! stable [`DiagCode`] (`SPEX-Rxxx`), the violated constraint's
-//! provenance, and — where computable — a machine-applicable fix; whole
-//! runs leave the system as a [`Report`] renderable as human text, JSON
-//! Lines or a SARIF-style document (see [`Renderer`]).
+//! Checking runs on a **borrowed** [`CheckSession`] that
+//! [`Workspace::session`] builds anew on every call: the database is its
+//! own parameter index, so a session builds nothing and copies no
+//! constraint. Every finding carries a stable [`DiagCode`] (`SPEX-Rxxx`),
+//! the violated constraint's provenance, and — where computable — a
+//! machine-applicable fix; whole runs leave the system as a [`Report`]
+//! renderable as human text, JSON Lines or a SARIF-style document (see
+//! [`Renderer`]).
 //!
 //! The one-shot pipeline (`Spex::analyze` on a hand-lowered module) is
 //! still available through [`core`], but new code should hold a

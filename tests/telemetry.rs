@@ -91,6 +91,10 @@ fn snapshot_covers_all_passes_and_check_path() {
     assert!(snap.span_count("dataflow.prepare") > 0);
     assert!(snap.span_count("dataflow.taint") > 0);
     assert_eq!(snap.span_count("workspace.reanalyze"), 1);
+    // One fold per reanalyze, under it.
+    assert_eq!(snap.span_count("workspace.fold"), 1);
+    let fold = "workspace.reanalyze/workspace.fold";
+    assert!(snap.spans.contains_key(fold), "{}", snap.render_text());
     assert_eq!(snap.counter("infer.pass.basic_type"), 2);
     assert_eq!(snap.counter("infer.pass.range"), 2);
 
@@ -100,6 +104,7 @@ fn snapshot_covers_all_passes_and_check_path() {
     ws.reanalyze();
     let snap = ws.telemetry();
     assert_eq!(snap.span_count("workspace.update_module"), 1);
+    assert_eq!(snap.span_count("workspace.fold"), 2);
     assert_eq!(snap.counter("infer.cache.mapping.hits"), 1);
     assert_eq!(snap.counter("infer.cache.taint.hits"), 2);
     // Counters are cumulative: the two misses are the cold run's slices;

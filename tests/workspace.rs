@@ -368,6 +368,77 @@ fn parameter_mapped_by_two_modules_goes_with_the_second() {
     assert_eq!(ws.db().params.len(), 0);
 }
 
+/// Two modules map `ya` through a `@PARSER` arm. Edits in place drop the
+/// arm from one module, where `ya` keeps the other's constraints, and then
+/// from the other, where `ya` leaves the db. After each step the warm db
+/// and reaction verdicts equal a fresh workspace's, at 1 and 4 threads.
+#[test]
+fn a_parameter_unmapped_by_one_edit_at_a_time_leaves_with_the_last() {
+    const PARSER_ANN: &str = "{ @PARSER = handle_config\n @PAR = $name\n @VAR = $value }";
+    // On one line, so dropping it moves no other line.
+    const ARM: &str = "if (strcmp(name, \"ya\") == 0) { ya = atoi(value); return 1; }";
+    let module = |other: &str, bound: u32| {
+        format!(
+            r#"
+            int {other} = 0;
+            int ya = 0;
+            int handle_config(char* name, char* value) {{
+                if (strcmp(name, "{other}") == 0) {{ {other} = atoi(value); return 1; }}
+                {ARM}
+                return 0;
+            }}
+            void worker() {{ if (ya > {bound}) {{ exit(1); }} sleep({other}); }}
+            "#
+        )
+    };
+    let (a, b) = (module("x", 8), module("z", 64));
+    let steps = [
+        [a.clone(), b.clone()],
+        [a.replace(ARM, ""), b.clone()],
+        [a.replace(ARM, ""), b.replace(ARM, "")],
+    ];
+    // Each edit: the module it edits, and where `ya`'s constraints come
+    // from after it (`None`: `ya` is not in the db).
+    let edits = [
+        ("a.c", &steps[1][0], Some(vec!["b.c".to_string()])),
+        ("b.c", &steps[2][1], None),
+    ];
+    let state = |ws: &Workspace| {
+        (
+            ws.db().save_to_string(),
+            format!("{:?}", ws.reaction_findings()),
+        )
+    };
+    let ya_from = |ws: &Workspace| {
+        let mut from: Vec<String> = ws.db().param("ya")?.provenance.clone();
+        from.sort();
+        from.dedup();
+        Some(from)
+    };
+    for threads in [1, 4] {
+        let analyzed = |[a, b]: &[String; 2]| {
+            let mut ws = Workspace::new("Test", Dialect::KeyValue).with_threads(threads);
+            ws.add_modules(&[("a.c", a, PARSER_ANN), ("b.c", b, PARSER_ANN)])
+                .unwrap();
+            ws.reanalyze();
+            ws
+        };
+        let mut ws = analyzed(&steps[0]);
+        assert_eq!(ya_from(&ws), Some(vec!["a.c".into(), "b.c".into()]));
+        for (step, (name, source, from)) in edits.iter().enumerate() {
+            let worker = |ws: &Workspace| Arc::clone(&ws.module(name).unwrap().functions[1]);
+            let before = worker(&ws);
+            let diff = ws.update_module(name, source).unwrap();
+            assert_eq!(diff.changed, vec!["handle_config".to_string()]);
+            assert!(Arc::ptr_eq(&before, &worker(&ws)), "the item path");
+            ws.reanalyze();
+            let at = format!("edit {step} at {threads} threads");
+            assert_eq!(ya_from(&ws), *from, "{at}");
+            assert_eq!(state(&ws), state(&analyzed(&steps[step + 1])), "{at}");
+        }
+    }
+}
+
 /// Sharded analysis: two workspaces analyzing different modules of the
 /// same system combine via `merge`, keeping per-shard provenance.
 #[test]
@@ -787,36 +858,6 @@ fn warm_reanalyze_reclassifies_only_dirty_slices() {
     let warm = ws.reanalyze();
     assert_eq!(warm.passes.react_runs, 0, "no slice dirty, no classify");
     assert_eq!(warm.passes.react_cache_hits, 2, "both verdicts reused");
-}
-
-/// `merge_db` folds a shard into the owned database, and the merged
-/// constraints are immediately checkable.
-#[test]
-fn merge_db_invalidates_the_cached_session() {
-    let mut ws = workspace_over(BASE);
-    ws.reanalyze();
-    assert!(ws.check_text("port = 0\n").len() == 1, "unknown key so far");
-
-    let mut shard = Workspace::new("Test", Dialect::KeyValue);
-    shard
-        .add_module(
-            "net.c",
-            r#"
-            int port = 8080;
-            struct opt { char* name; int* var; };
-            struct opt options[] = { { "port", &port } };
-            void serve() { listen(0, port); }
-            "#,
-            ANN,
-        )
-        .unwrap();
-    shard.reanalyze();
-
-    let report = ws.merge_db(shard.db()).unwrap();
-    assert!(report.params_added >= 1);
-    // The merged `port` parameter is known (and semantically checked) now.
-    let ds = ws.check_text("port = 0\n");
-    assert!(ds.iter().all(|d| d.category() != "unknown-key"), "{ds:#?}");
 }
 
 /// The multi-module ordering guarantee: an incrementally updated
