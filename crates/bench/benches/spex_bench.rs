@@ -510,8 +510,9 @@ fn bench_workspace(r: &Runner) {
 
     // A warm `reanalyze` after an edit no parameter's flow reaches: the
     // one-line `test_smoke` edit above is setup, and only `reanalyze` is
-    // timed. The self-check asserts it re-infers nothing, reuses every
-    // reaction verdict and leaves the db as it was.
+    // timed. The self-check asserts it re-infers nothing, reuses the
+    // cached mapping and every reaction verdict, and leaves the db as it
+    // was.
     if r.selected("workspace/reanalyze_storage_a") {
         let gen = storage_a();
         let variants = smoke_variants(gen);
@@ -524,10 +525,12 @@ fn bench_workspace(r: &Runner) {
         let warm = ws.reanalyze();
         assert_eq!(warm.params_reinferred, 0, "no flow reaches test_smoke");
         assert_eq!(warm.passes.react_cache_hits, warm.params_total);
+        let p = warm.passes;
+        assert_eq!([p.mapping_cache_hits, p.mapping_extractions], [1, 0]);
         assert_eq!(ws.db().save_to_string(), db, "the db is unchanged");
         println!(
             "workspace/reanalyze_storage_a self-check: OK (0 of {} parameters re-inferred, {} \
-             verdicts reused, db unchanged)",
+             verdicts reused, 1 mapping hit, 0 extractions, db unchanged)",
             warm.params_total, warm.passes.react_cache_hits
         );
         let ws = std::cell::RefCell::new(ws);

@@ -518,15 +518,6 @@ impl ConstraintDb {
 
     // -- Serialization --------------------------------------------------
 
-    /// Detects the on-disk format version of a database text, if any.
-    pub fn detect_version(text: &str) -> Option<u32> {
-        match text.lines().next() {
-            Some(l) if l == MAGIC_V1 => Some(1),
-            Some(l) if l == MAGIC_V2 => Some(2),
-            _ => None,
-        }
-    }
-
     /// Serializes the database to the current (`v2`) text format, in
     /// **canonical order**: parameters sorted by name, each parameter's
     /// constraints sorted by serialized kind, origin and provenance.
@@ -1774,13 +1765,13 @@ mod tests {
         let mut db = sample_db();
         db.canonicalize();
         let v1_text = save_as_v1(&db);
-        assert_eq!(ConstraintDb::detect_version(&v1_text), Some(1));
+        assert_eq!(v1_text.lines().next(), Some(MAGIC_V1));
         let migrated = ConstraintDb::load_from_str(&v1_text).unwrap();
         // Everything v1 could express survives the migration…
         assert_eq!(migrated, db);
         // …and the rewrite is the current version.
         let rewritten = migrated.save_to_string();
-        assert_eq!(ConstraintDb::detect_version(&rewritten), Some(2));
+        assert_eq!(rewritten.lines().next(), Some(MAGIC_V2));
         assert_eq!(ConstraintDb::load_from_str(&rewritten).unwrap(), migrated);
     }
 

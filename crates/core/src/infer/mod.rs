@@ -17,9 +17,7 @@ pub mod value_rel;
 use crate::annotations::Annotation;
 use crate::apispec::ApiSpec;
 use crate::constraint::Constraint;
-use crate::mapping::{
-    extract_annotation, mapping_relevant, merge_mappings, MappedParam, MappingError,
-};
+use crate::mapping::{extract_mappings, mapping_relevant, MappedParam};
 use spex_dataflow::{AnalyzedModule, MemLoc, ModuleSummaries, TaintEngine, TaintResult, TaintRoot};
 use spex_ir::{Callee, FuncId, Instr, Module, ValueId};
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -268,10 +266,9 @@ struct CacheState {
     am: Arc<AnalyzedModule>,
     /// The annotations the artifacts were extracted under.
     anns: Vec<Annotation>,
-    /// Cached per-annotation extraction results, aligned with `anns`
-    /// (`Err` is cached too, so a failing annotation is not re-extracted
-    /// every warm run).
-    ann_mappings: Vec<Arc<Result<Vec<MappedParam>, MappingError>>>,
+    /// The merged mapping extracted under `anns` (empty when an
+    /// annotation fails).
+    mapping: Arc<[MappedParam]>,
     /// Cached per-function interprocedural summaries.
     summaries: Arc<ModuleSummaries>,
     /// Cached per-parameter slices, by parameter name.
@@ -449,11 +446,11 @@ impl Spex {
     /// serial and uncached. With an [`Incremental`] whose `dirty` set is
     /// `Some` and whose cache holds a previous generation with the same
     /// annotations and a compatible module header (globals, structs, enum
-    /// constants), the prepared module is incrementally rebuilt, each
-    /// annotation's mapping extraction is reused unless a dirty function
-    /// could affect it, and each parameter's taint slice is reused unless
-    /// the edit could reach it — see [`PassCounts`] for the hit/miss
-    /// accounting. Otherwise everything is recomputed and the cache seeded.
+    /// constants), the prepared module is incrementally rebuilt, the merged
+    /// mapping is reused unless a dirty function could affect it, and each
+    /// parameter's taint slice is reused unless the edit could reach it —
+    /// see [`PassCounts`] for the hit/miss accounting. Otherwise everything
+    /// is recomputed and the cache seeded.
     ///
     /// Mapping and taint tracking cover every parameter, but on a warm
     /// run the five constraint-inference passes re-run only for the
@@ -521,59 +518,29 @@ impl Spex {
             None => AnalyzedModule::build_ref(module),
         });
 
-        // Mapping extraction, cached per annotation: one annotation's
-        // cached result stays valid unless a dirty function — in its old
-        // or new form — is relevant to *that* annotation, so an edit to a
-        // parser named by one annotation no longer re-extracts its
-        // neighbours. A module without annotations counts one trivial
-        // extraction, preserving the historical accounting shape.
-        let mut ann_mappings: Vec<Arc<Result<Vec<MappedParam>, MappingError>>> =
-            Vec::with_capacity(anns.len());
-        for (j, ann) in anns.iter().enumerate() {
-            let one = std::slice::from_ref(ann);
-            let cached = prev.and_then(|(state, dirty)| {
-                let unaffected = dirty.iter().all(|name| {
-                    [&*state.am, &*am].into_iter().all(|m| {
-                        m.module
-                            .function_by_name(name)
-                            .is_none_or(|fid| !mapping_relevant(m, fid, one))
-                    })
-                });
-                if unaffected {
-                    state.ann_mappings.get(j).cloned()
-                } else {
-                    None
-                }
+        // The merged mapping stays valid unless a dirty function, in its
+        // old or new form, is relevant to the annotations; otherwise it is
+        // extracted whole. Any failing annotation empties it.
+        let cached = prev.and_then(|(state, dirty)| {
+            let unaffected = dirty.iter().all(|name| {
+                [&*state.am, &*am].into_iter().all(|m| {
+                    m.module
+                        .function_by_name(name)
+                        .is_none_or(|fid| !mapping_relevant(m, fid, anns))
+                })
             });
-            match cached {
-                Some(m) => {
-                    passes.mapping_cache_hits += 1;
-                    ann_mappings.push(m);
-                }
-                None => {
-                    passes.mapping_extractions += 1;
-                    let _span = spex_obs::span("infer.mapping");
-                    ann_mappings.push(Arc::new(extract_annotation(&am, ann)));
-                }
-            }
-        }
-        if anns.is_empty() {
-            if prev.is_some() {
+            unaffected.then(|| Arc::clone(&state.mapping))
+        });
+        let params: Arc<[MappedParam]> = match cached {
+            Some(mapping) => {
                 passes.mapping_cache_hits += 1;
-            } else {
-                passes.mapping_extractions += 1;
+                mapping
             }
-        }
-        // Any failing annotation empties the whole mapping, exactly as the
-        // all-at-once extraction did.
-        let params: Vec<MappedParam> = if ann_mappings.iter().any(|r| r.is_err()) {
-            Vec::new()
-        } else {
-            merge_mappings(
-                ann_mappings
-                    .iter()
-                    .map(|r| r.as_ref().as_ref().expect("errors filtered above").clone()),
-            )
+            None => {
+                passes.mapping_extractions += 1;
+                let _span = spex_obs::span("infer.mapping");
+                extract_mappings(&am, anns).unwrap_or_default().into()
+            }
         };
 
         // Interprocedural function summaries, SCC-granular: a dirty
@@ -691,7 +658,7 @@ impl Spex {
         cache.state = Some(CacheState {
             am: Arc::clone(&am),
             anns,
-            ann_mappings,
+            mapping: Arc::clone(&params),
             summaries: Arc::clone(&summaries),
             slices,
         });
@@ -1071,6 +1038,59 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The cache keeps one merged mapping: an edit no mapping reads keeps
+    /// its allocation, and an edit to the parser extracts a new one.
+    #[test]
+    fn the_cached_mapping_is_kept_until_an_edit_it_reads() {
+        const PARSED: &str = r#"
+            int fsync_on = 1;
+            int nap = 0;
+            struct opt { char* name; int* var; };
+            struct opt options[] = { { "fsync", &fsync_on } };
+            int handle_config(char* name, char* value) {
+                if (strcmp(name, "nap") == 0) { nap = atoi(value); return 1; }
+                return 0;
+            }
+            void main_loop() { if (fsync_on) { sleep(nap); } }
+        "#;
+        let anns = Annotation::parse(&format!(
+            "{ANN}\n{{ @PARSER = handle_config\n @PAR = $name\n @VAR = $value }}"
+        ))
+        .unwrap();
+        let mut cache = PassCache::default();
+        let mut run = |src: &str, dirty: &str| {
+            let dirty: BTreeSet<String> = [dirty.to_string()].into();
+            let incremental = Incremental {
+                cache: &mut cache,
+                dirty: Some(&dirty),
+                threads: 1,
+            };
+            let a =
+                Spex::analyze_scoped(&lower(src), &anns, ApiSpec::standard(), Some(incremental));
+            let p = a.passes;
+            let mapping = Arc::clone(&cache.state.as_ref().unwrap().mapping);
+            ([p.mapping_extractions, p.mapping_cache_hits], mapping)
+        };
+        let (cold, mapping) = run(PARSED, "");
+        assert_eq!(cold, [1, 0]);
+        let names: Vec<&str> = mapping.iter().map(|p| p.name.as_str()).collect();
+        assert_eq!(names, ["fsync", "nap"]);
+
+        let unread = PARSED.replace("sleep(nap)", "sleep(nap + 1)");
+        let (warm, kept) = run(&unread, "main_loop");
+        assert_eq!(warm, [0, 1]);
+        assert!(Arc::ptr_eq(&mapping, &kept), "an unread edit keeps it");
+
+        let (warm, extracted) = run(&unread.replace("return 1", "return 2"), "handle_config");
+        assert_eq!(warm, [1, 0]);
+        assert!(
+            !Arc::ptr_eq(&kept, &extracted),
+            "a parser edit extracts anew"
+        );
+        let again: Vec<&str> = extracted.iter().map(|p| p.name.as_str()).collect();
+        assert_eq!(again, names);
     }
 
     #[test]

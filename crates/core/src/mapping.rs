@@ -68,10 +68,8 @@ pub fn extract_mappings(
     Ok(merge_mappings(per_ann))
 }
 
-/// Runs one annotation against the module — the per-annotation unit the
-/// pass cache stores, so an edit invalidates only the annotations it is
-/// relevant to.
-pub fn extract_annotation(
+/// Runs one annotation against the module.
+fn extract_annotation(
     am: &AnalyzedModule,
     ann: &Annotation,
 ) -> Result<Vec<MappedParam>, MappingError> {
@@ -97,10 +95,7 @@ pub fn extract_annotation(
 /// Merges per-annotation extraction results by parameter name, first
 /// occurrence winning the slot and later occurrences contributing extra
 /// roots (and a declared type when the first had none).
-pub fn merge_mappings<I>(per_ann: I) -> Vec<MappedParam>
-where
-    I: IntoIterator<Item = Vec<MappedParam>>,
-{
+fn merge_mappings(per_ann: Vec<Vec<MappedParam>>) -> Vec<MappedParam> {
     let mut by_name: HashMap<String, MappedParam> = HashMap::new();
     let mut order: Vec<String> = Vec::new();
     for found in per_ann {

@@ -261,6 +261,44 @@ fn generated_openldap_full_pipeline() {
     }
 }
 
+/// The pass cache keeps one merged mapping per module and extracts it anew
+/// when a dirty function is `mapping_relevant` to the whole annotation
+/// list. On every function of the seven catalog systems that equals being
+/// relevant to one of the annotations, so one cached mapping is invalidated
+/// exactly when a cache per annotation would have been.
+#[test]
+fn relevance_to_the_annotations_is_relevance_to_one_of_them() {
+    use spex::core::mapping::mapping_relevant;
+    use spex::ir::FuncId;
+    let (mut functions, mut relevant, mut several) = (0, 0, 0);
+    for spec in spex::systems::all_systems() {
+        let built = BuiltSystem::build(spec);
+        let anns = Annotation::parse(&built.gen.annotations).unwrap();
+        several += usize::from(anns.len() > 1);
+        let am = spex::dataflow::AnalyzedModule::build(built.module);
+        for fid in (0..am.module.functions.len()).map(|i| FuncId(i as u32)) {
+            let whole = mapping_relevant(&am, fid, &anns);
+            let any = anns
+                .iter()
+                .any(|ann| mapping_relevant(&am, fid, std::slice::from_ref(ann)));
+            assert_eq!(
+                whole,
+                any,
+                "{}: {}",
+                built.spec.name,
+                am.module.func(fid).name
+            );
+            functions += 1;
+            relevant += usize::from(whole);
+        }
+    }
+    assert!(
+        0 < relevant && relevant < functions,
+        "{relevant} of {functions}"
+    );
+    assert!(several > 0, "some system has several annotations");
+}
+
 #[test]
 fn generated_vsftp_exposes_silent_ignorance() {
     let spec = spex::systems::system_by_name("VSFTP").unwrap();

@@ -9,6 +9,10 @@ use std::sync::Arc;
 
 const ANN: &str = "{ @STRUCT = options\n @PAR = [opt, 1]\n @VAR = [opt, 2] }";
 
+/// [`ANN`]'s table plus a comparison-based parser, `handle_config`.
+const TWO_ANNS: &str = "{ @STRUCT = options\n @PAR = [opt, 1]\n @VAR = [opt, 2] }\n\
+                        { @PARSER = handle_config\n @PAR = $name\n @VAR = $value }";
+
 /// Two parameters, each used by its own function, so a change to one
 /// function dirties exactly one parameter's slice.
 const BASE: &str = r#"
@@ -258,7 +262,7 @@ fn v1_db_loads_migrates_and_merges_losslessly() {
     let mut ws = workspace_over(BASE);
     ws.reanalyze();
     let v1_text = as_v1(ws.db());
-    assert_eq!(ConstraintDb::detect_version(&v1_text), Some(1));
+    assert_eq!(v1_text.lines().next(), Some("spex-constraint-db v1"));
 
     // Load: the v1 payload arrives intact, with empty provenance (the
     // file carries the canonical save order, so compare against that).
@@ -281,7 +285,7 @@ fn v1_db_loads_migrates_and_merges_losslessly() {
 
     // Re-saving writes the current format, round-trippable.
     let rewritten = v2.save_to_string();
-    assert_eq!(ConstraintDb::detect_version(&rewritten), Some(2));
+    assert_eq!(rewritten.lines().next(), Some("spex-constraint-db v2"));
     assert_eq!(ConstraintDb::load_from_str(&rewritten).unwrap(), v2);
 
     // A migrated db also seeds a workspace directly (the upgrade path).
@@ -650,74 +654,81 @@ fn warm_edit_reuses_unaffected_slices() {
     assert_eq!(ws.db().save_to_string(), fresh.db().save_to_string());
 }
 
-/// Mapping extraction is cached per annotation: a module mixing a
-/// structure-based table with a comparison-based parser re-extracts only
-/// the annotation the edit is relevant to, and serves the other from the
-/// cache.
+/// The pass cache keeps one merged mapping per module, extracted whole. A
+/// `@PARSER` naming a function the module does not define fails, and a
+/// failing annotation empties the mapping. Appending the parser takes the
+/// item path and extracts the mapping anew, mapping both parameters; a
+/// `startup` edit, which no annotation reads, reuses it; an edit to the
+/// parser extracts it once more, table and parser alike. After each step
+/// the warm db and reaction verdicts equal a fresh workspace's, at 1 and 4
+/// threads.
 #[test]
-fn editing_a_parser_reextracts_only_its_annotation() {
-    const TWO_ANNS: &str = "{ @STRUCT = options\n @PAR = [opt, 1]\n @VAR = [opt, 2] }\n\
-                            { @PARSER = handle_config\n @PAR = $name\n @VAR = $value }";
-    const MIXED: &str = r#"
+fn editing_a_parser_reextracts_the_mapping_once() {
+    const NO_PARSER: &str = r#"
         int threads = 4;
         int nap = 30;
         struct opt { char* name; int* var; };
         struct opt options[] = { { "threads", &threads } };
-        int handle_config(char* name, char* value) {
-            if (strcmp(name, "nap") == 0) {
-                nap = atoi(value);
-                return 1;
-            }
-            return 0;
-        }
         void startup() {
             if (threads < 1) { exit(1); }
             if (nap > 600) { exit(1); }
             sleep(nap);
         }
     "#;
-    // `handle_config` edited (return code only): the comparison-based
-    // mapping must be re-derived, the table-based one must not.
-    const PARSER_EDITED: &str = r#"
-        int threads = 4;
-        int nap = 30;
-        struct opt { char* name; int* var; };
-        struct opt options[] = { { "threads", &threads } };
+    const PARSER: &str = r#"
         int handle_config(char* name, char* value) {
-            if (strcmp(name, "nap") == 0) {
-                nap = atoi(value);
-                return 2;
-            }
+            if (strcmp(name, "nap") == 0) { nap = atoi(value); return 1; }
             return 0;
         }
-        void startup() {
-            if (threads < 1) { exit(1); }
-            if (nap > 600) { exit(1); }
-            sleep(nap);
-        }
     "#;
-    let mut ws = Workspace::new("Test", Dialect::KeyValue);
-    ws.add_module("main.c", MIXED, TWO_ANNS).unwrap();
-    let cold = ws.reanalyze();
-    assert_eq!(cold.passes.mapping_extractions, 2, "one per annotation");
-    assert_eq!(cold.params_total, 2, "both conventions map a parameter");
-
-    let diff = ws.update_module("main.c", PARSER_EDITED).unwrap();
-    assert_eq!(diff.changed, vec!["handle_config".to_string()]);
-    let warm = ws.reanalyze();
-    assert_eq!(
-        warm.passes.mapping_extractions, 1,
-        "only the @PARSER annotation re-extracted"
-    );
-    assert_eq!(
-        warm.passes.mapping_cache_hits, 1,
-        "the @STRUCT annotation served from cache"
-    );
-
-    let mut fresh = Workspace::new("Test", Dialect::KeyValue);
-    fresh.add_module("main.c", PARSER_EDITED, TWO_ANNS).unwrap();
-    fresh.reanalyze();
-    assert_eq!(ws.db().save_to_string(), fresh.db().save_to_string());
+    let appended = format!("{NO_PARSER}{PARSER}");
+    let startup_edited = appended.replace("threads < 1", "threads < 2");
+    let parser_edited = startup_edited.replace("return 1;", "return 2;");
+    let state = |ws: &Workspace| {
+        (
+            ws.db().save_to_string(),
+            format!("{:?}", ws.reaction_findings()),
+        )
+    };
+    // Each edit, the function it changes or appends, and the mapping's
+    // `[extractions, hits]`.
+    let edits = [
+        (&appended, "handle_config", [1, 0]),
+        (&startup_edited, "startup", [0, 1]),
+        (&parser_edited, "handle_config", [1, 0]),
+    ];
+    for threads in [1, 4] {
+        let analyzed = |source: &str| {
+            let mut ws = Workspace::new("Test", Dialect::KeyValue).with_threads(threads);
+            ws.add_module("main.c", source, TWO_ANNS).unwrap();
+            ws.reanalyze();
+            ws
+        };
+        let mut ws = analyzed(NO_PARSER);
+        assert_eq!(
+            ws.db().params.len(),
+            0,
+            "the failing annotation maps nothing"
+        );
+        for (source, edited, mapping) in &edits {
+            let at = format!("{edited} at {threads} threads");
+            let before = ws.module("main.c").unwrap().functions.clone();
+            let diff = ws.update_module("main.c", source).unwrap();
+            assert_eq!([diff.changed, diff.added].concat(), [*edited], "{at}");
+            let after = &ws.module("main.c").unwrap().functions;
+            let kept = before
+                .iter()
+                .zip(after.iter())
+                .filter(|(a, b)| Arc::ptr_eq(a, b));
+            assert_eq!(kept.count(), after.len() - 1, "the item path {at}");
+            let report = ws.reanalyze();
+            let passes = report.passes;
+            let counts = [passes.mapping_extractions, passes.mapping_cache_hits];
+            assert_eq!(counts, *mapping, "{at}");
+            assert_eq!(report.params_total, 2, "{at}");
+            assert_eq!(state(&ws), state(&analyzed(source)), "{at}");
+        }
+    }
 }
 
 /// The cache's soundness edge: an *added* function can expand an existing
@@ -1084,8 +1095,6 @@ fn a_parser_arm_mapping_a_guard_reinfers_the_guarded_parameter() {
         }
         void worker() { if (ya) { sleep(b); } }
     "#;
-    const TWO_ANNS: &str = "{ @STRUCT = options\n @PAR = [opt, 1]\n @VAR = [opt, 2] }\n\
-                            { @PARSER = handle_config\n @PAR = $name\n @VAR = $value }";
     // On one line: a function the edit moves would keep its old spans.
     let arm = "if (strcmp(name, \"ya\") == 0) { ya = atoi(value); return 1; } return 0;";
     assert_warm_equals_fresh(PARSER, &PARSER.replace("return 0;", arm), TWO_ANNS);
