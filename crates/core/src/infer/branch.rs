@@ -1,11 +1,12 @@
-//! Shared branch machinery: locating the conditional branch a comparison
-//! feeds, and classifying the behaviour of a branch's region (§2.2.3).
+//! Branch classification: the behaviour of a branch's region (§2.2.3). The
+//! branch sides and regions come from `spex_dataflow::branch`.
 //!
 //! "If in the branch block, the program exits, aborts, returns error code,
 //! or resets the parameter, SPEX treats the range as invalid."
 
-use spex_dataflow::{AnalyzedModule, MemLoc, TaintResult, UseSite};
-use spex_ir::{BlockId, Callee, ConstVal, FuncId, Instr, Place, Terminator, ValueId};
+use spex_dataflow::{const_int, is_const_null, straight_line_region};
+use spex_dataflow::{AnalyzedModule, MemLoc, TaintResult};
+use spex_ir::{BlockId, Callee, FuncId, Instr, Place, Terminator};
 use spex_lang::diag::Span;
 
 /// What a guarded region does.
@@ -33,94 +34,6 @@ impl BranchBehavior {
     pub fn is_invalid(&self) -> bool {
         !matches!(self, BranchBehavior::Normal)
     }
-}
-
-/// The two targets of the conditional branch fed by `cond_value`, normalised
-/// so that `.0` is taken when the condition is **true**. Follows `!x` and
-/// `x == 0` / `x != 0` wrappers.
-pub fn branch_sides(
-    am: &AnalyzedModule,
-    fid: FuncId,
-    cond_value: ValueId,
-) -> Option<(BlockId, BlockId)> {
-    let func = am.module.func(fid);
-    let ud = &am.usedefs[fid.index()];
-    for site in ud.uses_of(cond_value) {
-        match site {
-            UseSite::Term(b) => {
-                if let Terminator::CondBr {
-                    then_bb, else_bb, ..
-                } = &func.blocks[b.index()].term.0
-                {
-                    return Some((*then_bb, *else_bb));
-                }
-            }
-            UseSite::Instr(b, i) => match &func.blocks[b.index()].instrs[*i].0 {
-                Instr::Un {
-                    dst,
-                    op: spex_lang::ast::UnOp::Not,
-                    ..
-                } => {
-                    if let Some((t, e)) = branch_sides(am, fid, *dst) {
-                        return Some((e, t));
-                    }
-                }
-                Instr::Bin {
-                    dst,
-                    op: spex_lang::ast::BinOp::Eq,
-                    lhs,
-                    rhs,
-                } => {
-                    let other = if *lhs == cond_value { *rhs } else { *lhs };
-                    if is_const_zero(am, fid, other) {
-                        if let Some((t, e)) = branch_sides(am, fid, *dst) {
-                            return Some((e, t));
-                        }
-                    }
-                }
-                Instr::Bin {
-                    dst,
-                    op: spex_lang::ast::BinOp::Ne,
-                    lhs,
-                    rhs,
-                } => {
-                    let other = if *lhs == cond_value { *rhs } else { *lhs };
-                    if is_const_zero(am, fid, other) {
-                        if let Some((t, e)) = branch_sides(am, fid, *dst) {
-                            return Some((t, e));
-                        }
-                    }
-                }
-                _ => {}
-            },
-        }
-    }
-    None
-}
-
-fn is_const_zero(am: &AnalyzedModule, fid: FuncId, v: ValueId) -> bool {
-    crate::mapping::const_int(am, fid, v) == Some(0)
-}
-
-/// Blocks of the straight-line region starting at `head`: follow
-/// unconditional branches into blocks still dominated by `head`, stopping
-/// at nested conditional branches (the paper classifies "the corresponding
-/// branch blocks", not everything the branch eventually reaches).
-pub fn straight_line_region(am: &AnalyzedModule, fid: FuncId, head: BlockId) -> Vec<BlockId> {
-    let func = am.module.func(fid);
-    let dom = &am.doms[fid.index()];
-    let mut region = vec![head];
-    let mut cur = head;
-    loop {
-        match &func.blocks[cur.index()].term.0 {
-            Terminator::Br(next) if dom.dominates(head, *next) && *next != head => {
-                region.push(*next);
-                cur = *next;
-            }
-            _ => break,
-        }
-    }
-    region
 }
 
 /// Classifies the straight-line region starting at `head` for parameter
@@ -179,12 +92,7 @@ pub fn classify_region(
             }
         }
         if let Terminator::Ret(Some(v)) = &blk.term.0 {
-            if let Some(c) = crate::mapping::const_int(am, fid, *v) {
-                if c < 0 {
-                    error_return = true;
-                }
-            }
-            if is_const_null(am, fid, *v) {
+            if const_int(am, fid, *v).is_some_and(|c| c < 0) || is_const_null(am, fid, *v) {
                 error_return = true;
             }
         }
@@ -203,17 +111,6 @@ pub fn classify_region(
         };
     }
     BranchBehavior::Normal
-}
-
-fn is_const_null(am: &AnalyzedModule, fid: FuncId, v: ValueId) -> bool {
-    let func = am.module.func(fid);
-    matches!(
-        am.usedefs[fid.index()].def_instr(func, v),
-        Some(Instr::Const {
-            val: ConstVal::Null,
-            ..
-        })
-    )
 }
 
 /// Whether a function has no reachable `ret` (a `die()`-style helper that
@@ -258,7 +155,7 @@ pub fn region_logs(am: &AnalyzedModule, fid: FuncId, head: BlockId) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spex_dataflow::{AnalyzedModule, TaintEngine, TaintRoot};
+    use spex_dataflow::{branch_sides, AnalyzedModule, TaintEngine, TaintRoot};
 
     fn setup(src: &str) -> AnalyzedModule {
         let p = spex_lang::parse_program(src).unwrap();

@@ -20,8 +20,9 @@
 //! `if (fsync && ...)`).
 
 use crate::constraint::{CmpOp, Constraint, ConstraintKind, ControlDep};
-use crate::mapping::const_int;
-use spex_dataflow::{AnalyzedModule, ModuleSummaries, ReturnTransfer, TaintResult, UseSite};
+use spex_dataflow::{
+    const_int, AnalyzedModule, ModuleSummaries, ReturnTransfer, TaintResult, UseSite,
+};
 use spex_ir::{BlockId, Callee, FuncId, Instr, Terminator, ValueId};
 use spex_lang::diag::Span;
 use std::collections::{HashMap, HashSet};
@@ -45,7 +46,11 @@ pub fn infer(
     taints: &[std::sync::Arc<TaintResult>],
     vindex: &HashMap<(FuncId, ValueId), Vec<usize>>,
 ) -> Vec<Constraint> {
-    let mut intra = IntraGuards::compute(am, summaries, vindex);
+    let mut intra = IntraGuards {
+        summaries,
+        vindex,
+        cache: HashMap::new(),
+    };
     let inherited = compute_inherited_guards(am, &mut intra);
 
     let mut out = Vec::new();
@@ -138,19 +143,7 @@ struct IntraGuards<'a> {
     cache: HashMap<(FuncId, BlockId), HashSet<Guard>>,
 }
 
-impl<'a> IntraGuards<'a> {
-    fn compute(
-        _am: &AnalyzedModule,
-        summaries: &'a ModuleSummaries,
-        vindex: &'a HashMap<(FuncId, ValueId), Vec<usize>>,
-    ) -> IntraGuards<'a> {
-        IntraGuards {
-            summaries,
-            vindex,
-            cache: HashMap::new(),
-        }
-    }
-
+impl IntraGuards<'_> {
     /// Guards protecting block `b` of function `f`: for every dominator `d`
     /// ending in a conditional branch on a parameter, the implied
     /// `(param, V, ⋄)` with the side taken into account.

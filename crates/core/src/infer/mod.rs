@@ -19,7 +19,7 @@ use crate::apispec::ApiSpec;
 use crate::constraint::Constraint;
 use crate::mapping::{extract_mappings, mapping_relevant, MappedParam};
 use spex_dataflow::{AnalyzedModule, MemLoc, ModuleSummaries, TaintEngine, TaintResult, TaintRoot};
-use spex_ir::{Callee, FuncId, Instr, Module, ValueId};
+use spex_ir::{FuncId, Instr, Module, ValueId};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
@@ -309,12 +309,19 @@ struct DirtyFnSummary {
     param_count: usize,
 }
 
+/// Summarizes one function of `am`: its call edges come from the call
+/// graph, so the walk collects only loads and function references.
 fn summarize_dirty_fn(am: &AnalyzedModule, fid: FuncId) -> DirtyFnSummary {
     let f = am.module.func(fid);
+    let calls = &am.callgraph;
+    let callees = calls.callees[fid.index()].iter();
     let mut s = DirtyFnSummary {
         loads: Vec::new(),
-        callees: BTreeSet::new(),
-        indirect_arities: BTreeSet::new(),
+        callees: callees.map(|t| am.module.func(*t).name.clone()).collect(),
+        indirect_arities: calls.indirect_arities[fid.index()]
+            .iter()
+            .copied()
+            .collect(),
         funcref_arities: BTreeSet::new(),
         param_count: f.params.len(),
     };
@@ -325,15 +332,6 @@ fn summarize_dirty_fn(am: &AnalyzedModule, fid: FuncId) -> DirtyFnSummary {
                     s.loads.push(loc);
                 }
             }
-            Instr::Call { callee, args, .. } => match callee {
-                Callee::Func(t) => {
-                    s.callees.insert(am.module.func(*t).name.clone());
-                }
-                Callee::Indirect(_) => {
-                    s.indirect_arities.insert(args.len());
-                }
-                Callee::Builtin(_) => {}
-            },
             Instr::Const {
                 val: spex_ir::ConstVal::FuncRef(t),
                 ..
@@ -389,16 +387,7 @@ fn cache_slice(am: &AnalyzedModule, roots: &[TaintRoot], taint: &Arc<TaintResult
         let f = am.module.func(fid);
         touched.insert(f.name.clone());
         touched_arities.insert(f.params.len());
-        for (_, _, instr, _) in f.iter_instrs() {
-            if let Instr::Call {
-                callee: Callee::Indirect(_),
-                args,
-                ..
-            } = instr
-            {
-                indirect_arities.insert(args.len());
-            }
-        }
+        indirect_arities.extend(&am.callgraph.indirect_arities[fid.index()]);
     }
     CachedSlice {
         roots: roots.to_vec(),
@@ -842,13 +831,6 @@ fn changed_by_recomputation(
 /// so a parameter used only inside a callee still needs re-inference when
 /// the caller changes.
 fn expand_dirty_functions(am: &AnalyzedModule, names: &BTreeSet<String>) -> BTreeSet<String> {
-    // Caller → callees adjacency (the call graph stores the reverse).
-    let mut callees_of: HashMap<FuncId, Vec<FuncId>> = HashMap::new();
-    for (callee, sites) in &am.callgraph.callers_of {
-        for site in sites {
-            callees_of.entry(site.caller).or_default().push(*callee);
-        }
-    }
     let mut dirty: HashSet<FuncId> = am
         .module
         .functions
@@ -859,7 +841,7 @@ fn expand_dirty_functions(am: &AnalyzedModule, names: &BTreeSet<String>) -> BTre
         .collect();
     let mut work: Vec<FuncId> = dirty.iter().copied().collect();
     while let Some(f) = work.pop() {
-        for callee in callees_of.get(&f).into_iter().flatten() {
+        for callee in &am.callgraph.callees[f.index()] {
             if dirty.insert(*callee) {
                 work.push(*callee);
             }

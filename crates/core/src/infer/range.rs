@@ -16,8 +16,9 @@
 use crate::constraint::{
     Constraint, ConstraintKind, EnumAlternative, EnumRange, EnumValue, NumericRange, RangeSegment,
 };
-use crate::infer::branch::{branch_sides, classify_region, BranchBehavior};
-use crate::mapping::{const_int, const_str, MappedParam};
+use crate::infer::branch::{classify_region, BranchBehavior};
+use crate::mapping::{const_str, MappedParam};
+use spex_dataflow::{branch_sides, const_int, straight_line_region};
 use spex_dataflow::{AnalyzedModule, ModuleSummaries, ReturnTransfer, TaintResult};
 use spex_ir::{Callee, ConstVal, FuncId, Instr, PlaceBase, PlaceElem, Terminator, ValueId};
 use spex_lang::diag::Span;
@@ -68,13 +69,12 @@ fn infer_numeric(
                 continue;
             };
             // Exactly one side tainted, the other a resolvable constant.
-            let (tainted_side, other, oriented) =
-                match (taint.is_tainted(fid, *lhs), taint.is_tainted(fid, *rhs)) {
-                    (true, false) => (*lhs, *rhs, cmp),
-                    (false, true) => (*rhs, *lhs, cmp.flipped()),
-                    _ => continue,
-                };
-            let _ = tainted_side;
+            let tainted = (taint.is_tainted(fid, *lhs), taint.is_tainted(fid, *rhs));
+            let (other, oriented) = match tainted {
+                (true, false) => (*rhs, cmp),
+                (false, true) => (*lhs, cmp.flipped()),
+                _ => continue,
+            };
             let Some(v) = resolve_constant(am, fid, other, param) else {
                 continue;
             };
@@ -341,7 +341,7 @@ fn infer_switch(am: &AnalyzedModule, param: &MappedParam, taint: &TaintResult) -
     let mut out = Vec::new();
     for fid in taint.touched_functions() {
         let func = am.module.func(fid);
-        for (bi, blk) in func.blocks.iter().enumerate() {
+        for blk in &func.blocks {
             let Terminator::Switch {
                 value,
                 cases,
@@ -367,7 +367,6 @@ fn infer_switch(am: &AnalyzedModule, param: &MappedParam, taint: &TaintResult) -
             let arm_heads: Vec<spex_ir::BlockId> = cases.iter().map(|(_, t)| *t).collect();
             let unmatched_overwrites =
                 region_overwrites_shared_store(am, fid, *default, &arm_heads);
-            let _ = bi;
             out.push(Constraint {
                 param: param.name.clone(),
                 kind: ConstraintKind::EnumRange(EnumRange {
@@ -518,7 +517,7 @@ fn store_places_in(
     head: spex_ir::BlockId,
 ) -> Vec<spex_ir::Place> {
     let func = am.module.func(fid);
-    crate::infer::branch::straight_line_region(am, fid, head)
+    straight_line_region(am, fid, head)
         .into_iter()
         .flat_map(|b| func.blocks[b.index()].instrs.iter())
         .filter_map(|(i, _)| match i {

@@ -12,8 +12,8 @@
 //! constraint is the negated relation.
 
 use crate::constraint::{CmpOp, Constraint, ConstraintKind, ValueRel};
-use crate::infer::branch::{branch_sides, classify_region};
-use spex_dataflow::{AnalyzedModule, ModuleSummaries, ReturnTransfer, TaintResult};
+use crate::infer::branch::classify_region;
+use spex_dataflow::{branch_sides, AnalyzedModule, ModuleSummaries, ReturnTransfer, TaintResult};
 use spex_ir::{Callee, FuncId, Instr, ValueId};
 use spex_lang::diag::Span;
 use std::collections::HashMap;

@@ -15,7 +15,7 @@
 //!   style).
 
 use crate::annotations::{Annotation, VarRef};
-use spex_dataflow::{AnalyzedModule, MemLoc, TaintRoot, UseSite};
+use spex_dataflow::{const_int, AnalyzedModule, MemLoc, TaintRoot, UseSite};
 use spex_ir::{
     Callee, ConstVal, FuncId, GlobalId, Instr, Place, PlaceBase, PlaceElem, Terminator, ValueId,
 };
@@ -703,27 +703,6 @@ pub fn const_str(am: &AnalyzedModule, fid: FuncId, v: ValueId) -> Option<String>
         }) => Some(s.clone()),
         _ => None,
     }
-}
-
-/// The integer constant a value is defined as, if any (follows casts).
-pub fn const_int(am: &AnalyzedModule, fid: FuncId, v: ValueId) -> Option<i64> {
-    let func = am.module.func(fid);
-    let mut cur = v;
-    for _ in 0..8 {
-        match am.usedefs[fid.index()].def_instr(func, cur) {
-            Some(Instr::Const { val, .. }) => return val.as_int(),
-            Some(Instr::Cast { operand, .. }) => cur = *operand,
-            Some(Instr::Un {
-                op: spex_lang::ast::UnOp::Neg,
-                operand,
-                ..
-            }) => {
-                return const_int(am, fid, *operand).map(|x| -x);
-            }
-            _ => return None,
-        }
-    }
-    None
 }
 
 #[cfg(test)]

@@ -1,5 +1,10 @@
 //! Call graph construction, including address-taken function discovery for
 //! calls through function-pointer tables.
+//!
+//! [`CallGraph::build`] is the one instruction walk that finds call edges.
+//! It records them in both directions, plus each function's indirect-call
+//! arities, so the condensation, the warm scope rule and the slice cache
+//! read them here instead of walking the instructions again.
 
 use spex_ir::{Callee, ConstVal, FuncId, Instr, Module};
 use std::collections::{HashMap, HashSet};
@@ -20,6 +25,12 @@ pub struct CallSite {
 pub struct CallGraph {
     /// Direct call sites per callee.
     pub callers_of: HashMap<FuncId, Vec<CallSite>>,
+    /// Direct callees of each function (indexed by caller id),
+    /// deduplicated, in first-appearance order.
+    pub callees: Vec<Vec<FuncId>>,
+    /// Argument counts of each function's indirect calls (indexed by
+    /// caller id), deduplicated, in first-appearance order.
+    pub indirect_arities: Vec<Vec<usize>>,
     /// Functions whose address is taken somewhere (possible indirect-call
     /// targets), with their parameter count.
     pub address_taken: Vec<(FuncId, usize)>,
@@ -28,7 +39,10 @@ pub struct CallGraph {
 impl CallGraph {
     /// Builds the call graph for a module.
     pub fn build(m: &Module) -> CallGraph {
+        let n = m.functions.len();
         let mut callers_of: HashMap<FuncId, Vec<CallSite>> = HashMap::new();
+        let mut callees: Vec<Vec<FuncId>> = vec![Vec::new(); n];
+        let mut indirect_arities: Vec<Vec<usize>> = vec![Vec::new(); n];
         let mut address_taken: HashSet<FuncId> = HashSet::new();
 
         // FuncRef constants in global initializers (handler tables).
@@ -49,6 +63,16 @@ impl CallGraph {
                             block: b,
                             index: i,
                         });
+                        if !callees[fi].contains(target) {
+                            callees[fi].push(*target);
+                        }
+                    }
+                    Instr::Call {
+                        callee: Callee::Indirect(_),
+                        args,
+                        ..
+                    } if !indirect_arities[fi].contains(&args.len()) => {
+                        indirect_arities[fi].push(args.len());
                     }
                     Instr::Const {
                         val: ConstVal::FuncRef(target),
@@ -67,6 +91,8 @@ impl CallGraph {
             .collect();
         CallGraph {
             callers_of,
+            callees,
+            indirect_arities,
             address_taken,
         }
     }
@@ -121,6 +147,9 @@ mod tests {
         );
         let helper = m.function_by_name("helper").unwrap();
         assert_eq!(cg.callers(helper).len(), 3);
+        let b = m.function_by_name("b").unwrap();
+        assert_eq!(cg.callees[b.index()], vec![helper]);
+        assert!(cg.callees[helper.index()].is_empty());
     }
 
     #[test]

@@ -12,6 +12,11 @@
 //! stores whose target is an unknown pointer. The paper attributes its ~10%
 //! inference inaccuracy (worst in OpenLDAP) to exactly this.
 //!
+//! The substrate is prepared once per generation and shared by every pass:
+//! [`CallGraph::build`] is the one walk that finds call edges, and
+//! [`branch`] holds the branch helpers that the summary layer and the
+//! inference passes share.
+//!
 //! # Examples
 //!
 //! ```
@@ -30,6 +35,7 @@
 //! assert!(!result.values.is_empty());
 //! ```
 
+pub mod branch;
 pub mod callgraph;
 pub mod memloc;
 pub mod scc;
@@ -37,6 +43,7 @@ pub mod summary;
 pub mod taint;
 pub mod usedef;
 
+pub use branch::{branch_sides, const_int, is_const_null, straight_line_region};
 pub use callgraph::CallGraph;
 pub use memloc::{AccessElem, MemLoc};
 pub use scc::Condensation;

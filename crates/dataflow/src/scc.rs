@@ -12,7 +12,8 @@
 //! in first-appearance order, so the component list — and therefore the
 //! summary fold order — is identical across runs and thread counts.
 
-use spex_ir::{Callee, FuncId, Instr, Module};
+use crate::CallGraph;
+use spex_ir::FuncId;
 
 /// The condensed call graph: components in bottom-up (callees-first)
 /// order plus the membership and dependency indexes the summary layer
@@ -35,29 +36,11 @@ pub struct Condensation {
 
 impl Condensation {
     /// Builds the condensation over the direct (`Callee::Func`) call edges
-    /// of `module`. Indirect calls carry no summary information and are
-    /// not edges here.
-    pub fn build(module: &Module) -> Condensation {
-        let n = module.functions.len();
-        let mut callees: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut self_loop = vec![false; n];
-        for (fi, func) in module.functions.iter().enumerate() {
-            for (_, _, instr, _) in func.iter_instrs() {
-                if let Instr::Call {
-                    callee: Callee::Func(g),
-                    ..
-                } = instr
-                {
-                    let gi = g.index();
-                    if gi == fi {
-                        self_loop[fi] = true;
-                    }
-                    if !callees[fi].contains(&gi) {
-                        callees[fi].push(gi);
-                    }
-                }
-            }
-        }
+    /// the call graph recorded. Indirect calls carry no summary information
+    /// and are not edges here.
+    pub fn build(cg: &CallGraph) -> Condensation {
+        let callees = &cg.callees;
+        let n = callees.len();
 
         // Iterative Tarjan. With edges pointing caller → callee, an SCC is
         // emitted only after every SCC it reaches, i.e. callees-first.
@@ -82,7 +65,7 @@ impl Condensation {
             on_stack[root] = true;
             while let Some(&mut (v, ref mut ei)) = call.last_mut() {
                 if *ei < callees[v].len() {
-                    let w = callees[v][*ei];
+                    let w = callees[v][*ei].index();
                     *ei += 1;
                     if index[w] == UNVISITED {
                         index[w] = next_index;
@@ -120,12 +103,12 @@ impl Condensation {
         let mut callee_components: Vec<Vec<usize>> = vec![Vec::new(); components.len()];
         let mut cyclic = vec![false; components.len()];
         for (c, members) in components.iter().enumerate() {
-            cyclic[c] = members.len() > 1 || members.iter().any(|f| self_loop[f.index()]);
+            cyclic[c] = members.len() > 1 || members.iter().any(|f| callees[f.index()].contains(f));
             for f in members {
-                for &g in &callees[f.index()] {
-                    let cg = component_of[g];
-                    if cg != c && !callee_components[c].contains(&cg) {
-                        callee_components[c].push(cg);
+                for g in &callees[f.index()] {
+                    let gc = component_of[g.index()];
+                    if gc != c && !callee_components[c].contains(&gc) {
+                        callee_components[c].push(gc);
                     }
                 }
             }
@@ -148,7 +131,7 @@ mod tests {
     fn condense(src: &str) -> (spex_ir::Module, Condensation) {
         let p = spex_lang::parse_program(src).unwrap();
         let m = spex_ir::lower_program(&p).unwrap();
-        let c = Condensation::build(&m);
+        let c = Condensation::build(&CallGraph::build(&m));
         (m, c)
     }
 

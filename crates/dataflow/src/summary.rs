@@ -17,8 +17,11 @@
 //!   summarized as never-returning.
 //!
 //! Summaries are evaluated bottom-up over the SCC condensation of the call
-//! graph ([`crate::scc::Condensation`]): a function's summary may consult
-//! its callees' summaries, so components are processed callees-first.
+//! graph ([`crate::scc::Condensation`], read off [`crate::CallGraph`]): a
+//! function's summary may consult its callees' summaries, so components are
+//! processed callees-first. Arms are located and bounded with the shared
+//! helpers of [`crate::branch`], and classified here without taint: an arm
+//! exits (counting summarized callees) or returns an error.
 //! Cyclic components (recursion) iterate to a fixpoint bounded by
 //! [`WIDEN_ITERATIONS`]; a component that fails to converge is *widened*
 //! to the empty summary — deterministic, terminating, and sound, since an
@@ -28,17 +31,17 @@
 //! fixed in-function scan order), so consumers folding summary-derived
 //! facts stay byte-identical at every thread count.
 
+use crate::branch::{branch_sides, const_int, is_const_null, straight_line_region};
 use crate::scc::Condensation;
 use crate::AnalyzedModule;
 use spex_ir::cfg::Cfg;
 use spex_ir::dom::DomTree;
-use spex_ir::{BlockId, Callee, ConstVal, FuncId, Function, Instr, Terminator, ValueId};
+use spex_ir::{BlockId, Callee, FuncId, Function, Instr, Terminator, ValueId};
 use spex_lang::ast::{BinOp, UnOp};
 use spex_lang::builtins::Builtin;
 use spex_lang::diag::Span;
 
 use crate::usedef::UseDefs;
-use crate::UseSite;
 
 /// Fixpoint bound for cyclic components: after this many rounds without
 /// convergence every member widens to the empty summary.
@@ -140,12 +143,10 @@ pub struct SummaryStats {
     pub recomputed: Vec<bool>,
 }
 
-/// All per-function summaries of a module plus the condensation they were
-/// evaluated over.
+/// All per-function summaries of a module.
 #[derive(Debug, Clone)]
 pub struct ModuleSummaries {
     fns: Vec<FunctionSummary>,
-    scc: Condensation,
 }
 
 impl ModuleSummaries {
@@ -167,7 +168,7 @@ impl ModuleSummaries {
         prev: Option<(&ModuleSummaries, &[bool])>,
     ) -> (ModuleSummaries, SummaryStats) {
         let n = am.module.functions.len();
-        let scc = Condensation::build(&am.module);
+        let scc = Condensation::build(&am.callgraph);
         let mut fns: Vec<FunctionSummary> = vec![FunctionSummary::default(); n];
         let mut stats = SummaryStats {
             recomputed: vec![false; n],
@@ -226,7 +227,7 @@ impl ModuleSummaries {
                 }
             }
         }
-        (ModuleSummaries { fns, scc }, stats)
+        (ModuleSummaries { fns }, stats)
     }
 
     /// The summary of one function.
@@ -243,15 +244,12 @@ impl ModuleSummaries {
     pub fn is_empty(&self) -> bool {
         self.fns.is_empty()
     }
-
-    /// The condensation the summaries were evaluated over.
-    pub fn condensation(&self) -> &Condensation {
-        &self.scc
-    }
 }
 
 /// Per-function analysis context, bundled to keep signatures short.
 struct FnCtx<'a> {
+    am: &'a AnalyzedModule,
+    fid: FuncId,
     func: &'a Function,
     cfg: &'a Cfg,
     dom: &'a DomTree,
@@ -264,6 +262,8 @@ fn summarize(am: &AnalyzedModule, fid: FuncId, fns: &[FunctionSummary]) -> Funct
         return FunctionSummary::default();
     }
     let cx = FnCtx {
+        am,
+        fid,
         func,
         cfg: &am.cfgs[fid.index()],
         dom: &am.doms[fid.index()],
@@ -285,34 +285,6 @@ fn summarize(am: &AnalyzedModule, fid: FuncId, fns: &[FunctionSummary]) -> Funct
 }
 
 // --- Local value resolution --------------------------------------------------
-
-/// The integer constant a value resolves to (follows casts and negation).
-fn const_int(cx: &FnCtx, v: ValueId) -> Option<i64> {
-    let mut cur = v;
-    for _ in 0..8 {
-        match cx.ud.def_instr(cx.func, cur) {
-            Some(Instr::Const { val, .. }) => return val.as_int(),
-            Some(Instr::Cast { operand, .. }) => cur = *operand,
-            Some(Instr::Un {
-                op: UnOp::Neg,
-                operand,
-                ..
-            }) => return const_int(cx, *operand).map(|x| -x),
-            _ => return None,
-        }
-    }
-    None
-}
-
-fn is_const_null(cx: &FnCtx, v: ValueId) -> bool {
-    matches!(
-        cx.ud.def_instr(cx.func, v),
-        Some(Instr::Const {
-            val: ConstVal::Null,
-            ..
-        })
-    )
-}
 
 /// The parameter index a value resolves to (follows casts).
 fn param_of(cx: &FnCtx, v: ValueId) -> Option<u32> {
@@ -390,12 +362,12 @@ fn resolve_atom(cx: &FnCtx, v: ValueId, depth: usize) -> Option<Atom> {
                     op: *op,
                     right: r,
                 }),
-                (Some(p), None) => const_int(cx, *rhs).map(|c| Atom::ParamConst {
+                (Some(p), None) => const_int(cx.am, cx.fid, *rhs).map(|c| Atom::ParamConst {
                     param: p,
                     op: *op,
                     value: c,
                 }),
-                (None, Some(p)) => const_int(cx, *lhs).map(|c| Atom::ParamConst {
+                (None, Some(p)) => const_int(cx.am, cx.fid, *lhs).map(|c| Atom::ParamConst {
                     param: p,
                     op: flip_cmp(*op),
                     value: c,
@@ -418,86 +390,14 @@ fn resolve_atom(cx: &FnCtx, v: ValueId, depth: usize) -> Option<Atom> {
     }
 }
 
-// --- Branch machinery (taint-free mirror of the intraprocedural one) ---------
-
-/// The two targets of the conditional branch fed by `cond_value`,
-/// normalized so `.0` is taken when the condition is **true**. Follows
-/// `!x` and `x == 0` / `x != 0` wrappers.
-fn branch_sides(cx: &FnCtx, cond_value: ValueId) -> Option<(BlockId, BlockId)> {
-    for site in cx.ud.uses_of(cond_value) {
-        match site {
-            UseSite::Term(b) => {
-                if let Terminator::CondBr {
-                    then_bb, else_bb, ..
-                } = &cx.func.blocks[b.index()].term.0
-                {
-                    return Some((*then_bb, *else_bb));
-                }
-            }
-            UseSite::Instr(b, i) => match &cx.func.blocks[b.index()].instrs[*i].0 {
-                Instr::Un {
-                    dst, op: UnOp::Not, ..
-                } => {
-                    if let Some((t, e)) = branch_sides(cx, *dst) {
-                        return Some((e, t));
-                    }
-                }
-                Instr::Bin {
-                    dst,
-                    op: BinOp::Eq,
-                    lhs,
-                    rhs,
-                } => {
-                    let other = if *lhs == cond_value { *rhs } else { *lhs };
-                    if const_int(cx, other) == Some(0) {
-                        if let Some((t, e)) = branch_sides(cx, *dst) {
-                            return Some((e, t));
-                        }
-                    }
-                }
-                Instr::Bin {
-                    dst,
-                    op: BinOp::Ne,
-                    lhs,
-                    rhs,
-                } => {
-                    let other = if *lhs == cond_value { *rhs } else { *lhs };
-                    if const_int(cx, other) == Some(0) {
-                        if let Some((t, e)) = branch_sides(cx, *dst) {
-                            return Some((t, e));
-                        }
-                    }
-                }
-                _ => {}
-            },
-        }
-    }
-    None
-}
-
-/// Straight-line region from `head`: follow unconditional branches while
-/// still dominated by `head`.
-fn straight_line_region(cx: &FnCtx, head: BlockId) -> Vec<BlockId> {
-    let mut region = vec![head];
-    let mut cur = head;
-    loop {
-        match &cx.func.blocks[cur.index()].term.0 {
-            Terminator::Br(next) if cx.dom.dominates(head, *next) && *next != head => {
-                region.push(*next);
-                cur = *next;
-            }
-            _ => break,
-        }
-    }
-    region
-}
+// --- Arm classification ----------------------------------------------------
 
 /// Classifies the arm starting at `head` without any taint context:
 /// exit (no-return call, counting summarized callees) or error return
 /// (negative constant / null).
 fn classify_arm(cx: &FnCtx, head: BlockId, fns: &[FunctionSummary]) -> Option<SummaryBehavior> {
     let mut error_return = false;
-    for b in straight_line_region(cx, head) {
+    for b in straight_line_region(cx.am, cx.fid, head) {
         let blk = &cx.func.blocks[b.index()];
         for (instr, _) in &blk.instrs {
             if let Instr::Call { callee, .. } = instr {
@@ -511,7 +411,9 @@ fn classify_arm(cx: &FnCtx, head: BlockId, fns: &[FunctionSummary]) -> Option<Su
             }
         }
         if let Terminator::Ret(Some(v)) = &blk.term.0 {
-            if const_int(cx, *v).is_some_and(|c| c < 0) || is_const_null(cx, *v) {
+            if const_int(cx.am, cx.fid, *v).is_some_and(|c| c < 0)
+                || is_const_null(cx.am, cx.fid, *v)
+            {
                 error_return = true;
             }
         }
@@ -553,7 +455,7 @@ fn extract_checks(cx: &FnCtx, fns: &[FunctionSummary]) -> Vec<CheckSummary> {
         else {
             continue;
         };
-        let Some((t_bb, e_bb)) = branch_sides(cx, *dst) else {
+        let Some((t_bb, e_bb)) = branch_sides(cx.am, cx.fid, *dst) else {
             continue;
         };
         if let Some(behavior) = classify_arm(cx, t_bb, fns) {
@@ -580,12 +482,12 @@ fn extract_checks(cx: &FnCtx, fns: &[FunctionSummary]) -> Vec<CheckSummary> {
 /// The param-vs-const atom of one comparison instruction, if it has one.
 fn resolve_atom_of_cmp(cx: &FnCtx, op: BinOp, lhs: ValueId, rhs: ValueId) -> Option<Atom> {
     match (param_of(cx, lhs), param_of(cx, rhs)) {
-        (Some(p), None) => const_int(cx, rhs).map(|c| Atom::ParamConst {
+        (Some(p), None) => const_int(cx.am, cx.fid, rhs).map(|c| Atom::ParamConst {
             param: p,
             op,
             value: c,
         }),
-        (None, Some(p)) => const_int(cx, lhs).map(|c| Atom::ParamConst {
+        (None, Some(p)) => const_int(cx.am, cx.fid, lhs).map(|c| Atom::ParamConst {
             param: p,
             op: flip_cmp(op),
             value: c,

@@ -49,9 +49,9 @@
 #![deny(missing_docs)]
 
 use spex_core::constraint::DiagCode;
-use spex_core::infer::branch::{branch_sides, classify_region, BranchBehavior};
+use spex_core::infer::branch::{classify_region, BranchBehavior};
 use spex_core::infer::{ParamReport, SpexAnalysis};
-use spex_dataflow::{AnalyzedModule, ModuleSummaries, ReturnTransfer, TaintResult};
+use spex_dataflow::{branch_sides, AnalyzedModule, ModuleSummaries, ReturnTransfer, TaintResult};
 use spex_ir::{BlockId, Callee, FuncId, Instr, PlaceElem, Terminator, ValueId};
 use spex_lang::ast::BinOp;
 use spex_lang::builtins::Builtin;
@@ -261,25 +261,8 @@ fn find_checks(am: &AnalyzedModule, taint: &TaintResult) -> Vec<Check> {
                 }
                 _ => None,
             };
-            let Some(cond) = cond else { continue };
-            let Some((t_bb, e_bb)) = branch_sides(am, fid, cond) else {
-                continue;
-            };
-            let t_beh = classify_region(am, fid, t_bb, taint);
-            let e_beh = classify_region(am, fid, e_bb, taint);
-            let behavior = if behavior_rank(&t_beh) >= behavior_rank(&e_beh) {
-                t_beh
-            } else {
-                e_beh
-            };
-            if behavior.is_invalid() {
-                checks.push(Check {
-                    behavior,
-                    in_function: func.name.clone(),
-                    span,
-                    fid,
-                    block: b,
-                });
+            if let Some(cond) = cond {
+                push_branch_check(&mut checks, am, taint, (fid, b, span), cond);
             }
         }
         // A `switch` on the value is a dispatch-style validation when its
@@ -333,51 +316,57 @@ fn find_summary_checks(
             let Some(&arg) = args.get(*param as usize) else {
                 continue;
             };
-            if !taint.is_tainted(fid, arg) {
-                continue;
-            }
-            let Some((t_bb, e_bb)) = branch_sides(am, fid, *dst) else {
-                continue;
-            };
-            let t_beh = classify_region(am, fid, t_bb, taint);
-            let e_beh = classify_region(am, fid, e_bb, taint);
-            let behavior = if behavior_rank(&t_beh) >= behavior_rank(&e_beh) {
-                t_beh
-            } else {
-                e_beh
-            };
-            if behavior.is_invalid() {
-                checks.push(Check {
-                    behavior,
-                    in_function: func.name.clone(),
-                    span,
-                    fid,
-                    block: b,
-                });
+            if taint.is_tainted(fid, arg) {
+                push_branch_check(&mut checks, am, taint, (fid, b, span), *dst);
             }
         }
     }
     checks
 }
 
+/// Records the conditional branch fed by `cond` at `(fid, block, span)` as
+/// a check when the stronger of its two arms is invalid (the true arm wins
+/// a tie).
+fn push_branch_check(
+    checks: &mut Vec<Check>,
+    am: &AnalyzedModule,
+    taint: &TaintResult,
+    (fid, block, span): (FuncId, BlockId, Span),
+    cond: ValueId,
+) {
+    let Some((t_bb, e_bb)) = branch_sides(am, fid, cond) else {
+        return;
+    };
+    let t_beh = classify_region(am, fid, t_bb, taint);
+    let e_beh = classify_region(am, fid, e_bb, taint);
+    let behavior = if behavior_rank(&t_beh) >= behavior_rank(&e_beh) {
+        t_beh
+    } else {
+        e_beh
+    };
+    if behavior.is_invalid() {
+        checks.push(Check {
+            behavior,
+            in_function: am.module.func(fid).name.clone(),
+            span,
+            fid,
+            block,
+        });
+    }
+}
+
 /// Finds every dangerous sink the parameter's value reaches.
 fn find_sinks(am: &AnalyzedModule, report: &ParamReport) -> Vec<Sink> {
     let taint = &report.taint;
     let mut sinks = Vec::new();
-    for (bi, in_function, span) in report
-        .evidence
-        .unsafe_apis
-        .iter()
-        .map(|(b, f, s)| (*b, f.clone(), *s))
-    {
-        let _ = bi;
+    for (_, in_function, span) in &report.evidence.unsafe_apis {
         // The raw string must be parsed before any numeric check can
         // exist, so unsafe-parse sinks are recorded without a block: they
         // are never dominated.
         sinks.push(Sink {
             kind: SinkKind::UnsafeParse,
-            in_function,
-            span,
+            in_function: in_function.clone(),
+            span: *span,
             fid: FuncId(u32::MAX),
             block: BlockId(u32::MAX),
         });

@@ -299,6 +299,113 @@ fn relevance_to_the_annotations_is_relevance_to_one_of_them() {
     assert!(several > 0, "some system has several annotations");
 }
 
+/// `CallGraph::build` is the one walk that finds call edges: the
+/// condensation, the warm scope rule and the slice cache read what it
+/// recorded. On every function of the catalog systems and a slice of the
+/// fleet (all 7 + 64 modules in release, the two smallest + 16 in debug),
+/// its callers, callees and indirect-call arities equal a direct
+/// instruction scan, and the condensation read off it equals one built
+/// from the scanned edges.
+#[test]
+fn the_call_graph_holds_every_call_edge_an_instruction_scan_finds() {
+    use spex::dataflow::callgraph::CallSite;
+    use spex::dataflow::{AnalyzedModule, CallGraph, Condensation};
+    use spex::ir::{Callee, FuncId, Instr};
+    let release = !cfg!(debug_assertions);
+    let mut modules: Vec<(String, spex::ir::Module)> = spex::systems::all_systems()
+        .into_iter()
+        .filter(|s| release || matches!(s.name, "OpenLDAP" | "VSFTP"))
+        .map(|spec| (spec.name.to_string(), BuiltSystem::build(spec).module))
+        .collect();
+    let fleet = spex::systems::fleet::generate_fleet(&spex::systems::fleet::FleetSpec {
+        modules: if release { 64 } else { 16 },
+        ..Default::default()
+    });
+    // The generated systems make one indirect call (Apache's dispatch), so
+    // a hand-written module adds indirect calls of two arities, repeated
+    // direct calls, self-recursion and mutual recursion.
+    let calls = r#"
+        struct cmd { char* name; fnptr handler; };
+        int set_one(char* v) { return 0; }
+        int set_two(char* a, char* b) { return 0; }
+        struct cmd cmds[] = { { "one", set_one } };
+        int even(int x) { if (x == 0) { return 1; } return odd(x - 1); }
+        int odd(int x) { if (x == 0) { return 0; } return even(x - 1); }
+        int down(int x) { if (x <= 0) { return 0; } return down(x - 1); }
+        int dispatch(char* v, fnptr f) {
+            cmds[0].handler(v);
+            f(v, v);
+            f(v, v);
+            cmds[0].handler(v);
+            return odd(3) + down(2) + even(1) + odd(1);
+        }
+    "#;
+    let sources = fleet.into_iter().map(|m| (m.name, m.source));
+    for (name, source) in sources.chain([("calls".to_string(), calls.to_string())]) {
+        let program = spex::lang::parse_program(&source).unwrap();
+        modules.push((name, spex::ir::lower_program(&program).unwrap()));
+    }
+    let (mut functions, mut edges, mut indirect, mut cyclic) = (0, 0, 0, 0);
+    for (name, module) in &modules {
+        let am = AnalyzedModule::build_ref(module);
+        // The reference: one scan per function, each call edge and
+        // indirect arity kept once, in first-appearance order.
+        let n = am.module.functions.len();
+        let mut scan = CallGraph {
+            callees: vec![Vec::new(); n],
+            indirect_arities: vec![Vec::new(); n],
+            ..CallGraph::default()
+        };
+        for (fi, func) in am.module.functions.iter().enumerate() {
+            for (block, index, instr, _) in func.iter_instrs() {
+                let Instr::Call { callee, args, .. } = instr else {
+                    continue;
+                };
+                match callee {
+                    Callee::Func(g) => {
+                        let caller = FuncId(fi as u32);
+                        let site = CallSite {
+                            caller,
+                            block,
+                            index,
+                        };
+                        scan.callers_of.entry(*g).or_default().push(site);
+                        if !scan.callees[fi].contains(g) {
+                            scan.callees[fi].push(*g);
+                        }
+                    }
+                    Callee::Indirect(_) if !scan.indirect_arities[fi].contains(&args.len()) => {
+                        scan.indirect_arities[fi].push(args.len());
+                    }
+                    _ => {}
+                }
+            }
+        }
+        let cg = &am.callgraph;
+        for (fi, func) in am.module.functions.iter().enumerate() {
+            let at = format!("{name}: {}", func.name);
+            assert_eq!(cg.callees[fi], scan.callees[fi], "callees of {at}");
+            assert_eq!(
+                cg.indirect_arities[fi], scan.indirect_arities[fi],
+                "indirect arities of {at}"
+            );
+            functions += 1;
+            edges += scan.callees[fi].len();
+            indirect += scan.indirect_arities[fi].len();
+        }
+        assert_eq!(cg.callees.len(), n, "{name}");
+        assert_eq!(cg.indirect_arities.len(), n, "{name}");
+        assert_eq!(cg.callers_of, scan.callers_of, "callers in {name}");
+        let condensation = Condensation::build(cg);
+        assert_eq!(condensation, Condensation::build(&scan), "{name}");
+        cyclic += condensation.cyclic.iter().filter(|c| **c).count();
+    }
+    assert!(
+        edges > functions / 3 && indirect >= 2 && cyclic >= 2,
+        "{functions} functions, {edges} edges, {indirect} indirect arities, {cyclic} cycles"
+    );
+}
+
 #[test]
 fn generated_vsftp_exposes_silent_ignorance() {
     let spec = spex::systems::system_by_name("VSFTP").unwrap();
